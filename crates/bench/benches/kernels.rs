@@ -63,7 +63,7 @@ fn bench_coarse_batch_pricing(c: &mut Criterion) {
         let config = PlacerConfig::new(4);
         let chip = Chip::from_netlist(&netlist, &config).expect("valid");
         let model = ObjectiveModel::new(&netlist, &chip, &config).expect("valid");
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let placement = global_place(&netlist, &chip, &model, &config, &[], false, None).0;
         group.bench_with_input(
             BenchmarkId::from_parameter(cells),
             &placement,
@@ -81,6 +81,7 @@ fn bench_coarse_batch_pricing(c: &mut Criterion) {
                         &chip,
                         config.coarse_target_region_bins,
                         &mut rng,
+                        None,
                     ))
                 })
             },
@@ -93,7 +94,7 @@ fn bench_coarse_batch_pricing(c: &mut Criterion) {
 /// boundary solve in isolation, and one full row-parallel shift pass
 /// (plan + commit) at 10k cells from a global-placed start.
 fn bench_shift_kernels(c: &mut Criterion) {
-    use tvp_core::coarse::shift::{bench_hooks as shift_hooks, shift_pass_stats};
+    use tvp_core::coarse::shift::{bench_hooks as shift_hooks, shift_pass};
     use tvp_core::ShiftStrategy;
 
     let mut group = c.benchmark_group("shift_kernels");
@@ -119,14 +120,14 @@ fn bench_shift_kernels(c: &mut Criterion) {
     let config = PlacerConfig::new(4);
     let chip = Chip::from_netlist(&netlist, &config).expect("valid");
     let model = ObjectiveModel::new(&netlist, &chip, &config).expect("valid");
-    let placement = global_place(&netlist, &chip, &model, &config);
+    let placement = global_place(&netlist, &chip, &model, &config, &[], false, None).0;
     group.sample_size(10);
     group.bench_function("full_pass_10k", |b| {
         b.iter(|| {
             let mut objective = IncrementalObjective::new(&netlist, &model, placement.clone());
             let mut mesh = DensityMesh::coarse(&chip);
             mesh.rebuild(&netlist, objective.placement());
-            black_box(shift_pass_stats(
+            black_box(shift_pass(
                 &mut objective,
                 &mut mesh,
                 &netlist,

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::ops::ControlFlow;
 use tvp_bench::netlist_of;
 use tvp_bookshelf::synth::SynthConfig;
 use tvp_core::coarse::{coarse_legalize, DensityMesh};
@@ -24,7 +25,7 @@ fn fixture(
     let config = PlacerConfig::new(4);
     let chip = Chip::from_netlist(&netlist, &config).expect("valid");
     let model = ObjectiveModel::new(&netlist, &chip, &config).expect("valid");
-    let placement = global_place(&netlist, &chip, &model, &config);
+    let placement = global_place(&netlist, &chip, &model, &config, &[], false, None).0;
     (netlist, chip, model, config, placement)
 }
 
@@ -35,7 +36,14 @@ fn bench_coarse(c: &mut Criterion) {
     group.bench_function("1000_cells", |b| {
         b.iter(|| {
             let mut objective = IncrementalObjective::new(&netlist, &model, placement.clone());
-            black_box(coarse_legalize(&mut objective, &netlist, &chip, &config));
+            black_box(coarse_legalize(
+                &mut objective,
+                &netlist,
+                &chip,
+                &config,
+                None,
+                &mut |_| ControlFlow::Continue(()),
+            ));
         })
     });
     group.finish();
@@ -45,7 +53,9 @@ fn bench_detail(c: &mut Criterion) {
     let (netlist, chip, model, config, placement) = fixture(1_000);
     // Pre-run coarse once so detail sees its usual input.
     let mut objective = IncrementalObjective::new(&netlist, &model, placement);
-    coarse_legalize(&mut objective, &netlist, &chip, &config);
+    coarse_legalize(&mut objective, &netlist, &chip, &config, None, &mut |_| {
+        ControlFlow::Continue(())
+    });
     let coarse_placement = objective.placement().clone();
     let mut group = c.benchmark_group("detail_legalize");
     group.sample_size(10);
@@ -58,6 +68,7 @@ fn bench_detail(c: &mut Criterion) {
                 &netlist,
                 &chip,
                 config.detail_row_window,
+                &mut |_| ControlFlow::Continue(()),
             ));
         })
     });

@@ -33,7 +33,7 @@ fn bench_global_stage(c: &mut Criterion) {
             BenchmarkId::from_parameter(cells),
             &(netlist, chip, model, config),
             |b, (netlist, chip, model, config)| {
-                b.iter(|| black_box(global_place(netlist, chip, model, config)))
+                b.iter(|| black_box(global_place(netlist, chip, model, config, &[], false, None).0))
             },
         );
     }

@@ -3,6 +3,7 @@
 //! both feeding the identical legalization stages, on circuits *without*
 //! IO pads — the regime where the paper says partitioning wins.
 
+use std::ops::ControlFlow;
 use std::time::Instant;
 use tvp_bench::{netlist_of, pct, print_row, Args};
 use tvp_core::coarse::coarse_legalize;
@@ -25,12 +26,27 @@ fn run_flow(netlist: &Netlist, config: &PlacerConfig, force_directed: bool) -> O
     let placement = if force_directed {
         force_directed_place(netlist, &chip, &model, config)
     } else {
-        global_place(netlist, &chip, &model, config)
+        global_place(netlist, &chip, &model, config, &[], false, None).0
     };
     let mut objective = IncrementalObjective::new(netlist, &model, placement);
-    coarse_legalize(&mut objective, netlist, &chip, config);
-    detail_legalize(&mut objective, netlist, &chip, config.detail_row_window);
-    refine_legal(&mut objective, netlist, &chip, config.legal_refine_passes);
+    coarse_legalize(&mut objective, netlist, &chip, config, None, &mut |_| {
+        ControlFlow::Continue(())
+    });
+    detail_legalize(
+        &mut objective,
+        netlist,
+        &chip,
+        config.detail_row_window,
+        &mut |_| ControlFlow::Continue(()),
+    );
+    refine_legal(
+        &mut objective,
+        netlist,
+        &chip,
+        config.legal_refine_passes,
+        None,
+        &mut |_| ControlFlow::Continue(()),
+    );
     assert_eq!(check_legal(netlist, &chip, objective.placement()), None);
     Outcome {
         wirelength: objective.total_wirelength(),

@@ -324,7 +324,8 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
             let chip = Chip::from_netlist(netlist, &config).expect("chip");
             let model = ObjectiveModel::new(netlist, &chip, &config).expect("model");
             let t = Instant::now();
-            let placement = tvp_core::global::global_place(netlist, &chip, &model, &config);
+            let placement =
+                tvp_core::global::global_place(netlist, &chip, &model, &config, &[], false, None).0;
             let global_ms = t.elapsed().as_secs_f64() * 1e3;
             let mut row = format!(
                 "{{\"threads\": {threads}, \"stages\": \"{}\", \"global_ms\": {global_ms:.1}",
@@ -338,11 +339,12 @@ fn scale_row_json(cells: usize, stages: Option<&[Stage]>) -> String {
                 let mut objective = IncrementalObjective::new(netlist, &model, placement);
                 let mut shift_passes = 0usize;
                 let t = Instant::now();
-                tvp_core::coarse::coarse_legalize_observed(
+                tvp_core::coarse::coarse_legalize(
                     &mut objective,
                     netlist,
                     &chip,
                     &config,
+                    None,
                     &mut |p| {
                         if matches!(p, PassEvent::ShiftPass { .. }) {
                             shift_passes += 1;
@@ -761,10 +763,11 @@ fn main() {
     }
     hg.finalize();
     let bisect_config = BisectConfig::default().with_starts(8);
+    let free = vec![FixedSide::Free; hg.num_vertices()];
     let mut bisection = Vec::new();
     for &threads in thread_counts {
         let ms = tvp_parallel::with_threads(threads, || {
-            time_ms(opts.repeats, || bisect(&hg, &bisect_config))
+            time_ms(opts.repeats, || bisect(&hg, &free, &bisect_config, None))
         });
         bisection.push((threads, ms));
     }
@@ -832,7 +835,6 @@ fn main() {
     // Bisection sub-phases on the same kernel hypergraph, via the serial
     // profiled entry point (starts run back-to-back so phase clocks don't
     // overlap).
-    let free = vec![FixedSide::Free; hg.num_vertices()];
     let (_, bisect_profile) = bisect_fixed_profiled(&hg, &free, &bisect_config);
 
     // --- Scaling sweep: one fresh child process per cell count -----------

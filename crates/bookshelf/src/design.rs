@@ -1,11 +1,7 @@
-//! Assembling parsed Bookshelf files into a placer-ready design.
+//! Assembling Bookshelf file text into a placer-ready design.
 
-use crate::nets::{NetsFile, PinDirectionHint};
-use crate::nodes::NodesFile;
-use crate::pl::PlFile;
+use crate::nets::PinDirectionHint;
 use crate::scl::SclFile;
-use crate::wts::WtsFile;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use tvp_netlist::{BuildNetlistError, CellId, CellKind, Netlist, NetlistBuilder, PinDirection};
@@ -78,179 +74,26 @@ pub struct Design {
 }
 
 impl Design {
-    /// Assembles a design from parsed Bookshelf files.
-    ///
-    /// Direction hints map as follows: the first `O` pin of a net becomes
-    /// the driver; additional `O` pins and `B` pins are demoted to inputs
-    /// (real suites occasionally contain multi-driver records).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AssembleDesignError::UnknownNode`] if `.nets`, `.pl`, or
-    /// `.wts` reference a node that `.nodes` does not declare, or
-    /// [`AssembleDesignError::Netlist`] if the netlist itself is invalid
-    /// (e.g. non-positive cell dimensions).
-    pub fn assemble(
-        name: impl Into<String>,
-        nodes: &NodesFile,
-        nets: &NetsFile,
-        wts: Option<&WtsFile>,
-        pl: Option<&PlFile>,
-        scl: Option<&SclFile>,
-        options: DesignBuilderOptions,
-    ) -> Result<Self, AssembleDesignError> {
-        Self::assemble_with(name, nodes, nets, wts, pl, scl, options, false)
-    }
-
-    /// [`assemble`](Self::assemble) with the netlist builder in permissive
-    /// mode: degenerate cell dimensions are admitted instead of rejected,
-    /// so validation and repair tooling can load broken designs and report
-    /// on them. Connectivity errors are still hard failures.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`assemble`](Self::assemble), minus dimension rejections.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble_permissive(
-        name: impl Into<String>,
-        nodes: &NodesFile,
-        nets: &NetsFile,
-        wts: Option<&WtsFile>,
-        pl: Option<&PlFile>,
-        scl: Option<&SclFile>,
-        options: DesignBuilderOptions,
-    ) -> Result<Self, AssembleDesignError> {
-        Self::assemble_with(name, nodes, nets, wts, pl, scl, options, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_with(
-        name: impl Into<String>,
-        nodes: &NodesFile,
-        nets: &NetsFile,
-        wts: Option<&WtsFile>,
-        pl: Option<&PlFile>,
-        scl: Option<&SclFile>,
-        options: DesignBuilderOptions,
-        permissive: bool,
-    ) -> Result<Self, AssembleDesignError> {
-        let scale = options.meters_per_unit;
-        let mut builder =
-            NetlistBuilder::with_capacity(nodes.nodes.len(), nets.nets.len(), nets.num_pins());
-        if permissive {
-            builder = builder.permissive();
-        }
-        let mut by_name: HashMap<&str, CellId> = HashMap::with_capacity(nodes.nodes.len());
-        for record in &nodes.nodes {
-            let kind = if record.terminal {
-                CellKind::Fixed
-            } else {
-                CellKind::Movable
-            };
-            let id = builder.add_cell_with_kind(
-                record.name.clone(),
-                record.width * scale,
-                record.height * scale,
-                kind,
-            );
-            by_name.insert(record.name.as_str(), id);
-        }
-
-        let mut net_ids = HashMap::with_capacity(nets.nets.len());
-        for record in &nets.nets {
-            let net_id = builder.add_net(record.name.clone());
-            net_ids.insert(record.name.as_str(), net_id);
-            let mut has_driver = false;
-            for pin in &record.pins {
-                let &cell = by_name
-                    .get(pin.node.as_str())
-                    .ok_or_else(|| AssembleDesignError::UnknownNode(pin.node.clone()))?;
-                let direction = match pin.direction {
-                    Some(PinDirectionHint::Output) if !has_driver => {
-                        has_driver = true;
-                        PinDirection::Output
-                    }
-                    _ => PinDirection::Input,
-                };
-                builder.connect_with_offset(
-                    net_id,
-                    cell,
-                    direction,
-                    pin.offset_x * scale,
-                    pin.offset_y * scale,
-                )?;
-            }
-        }
-
-        if let Some(wts) = wts {
-            for record in &wts.records {
-                if let Some(&net_id) = net_ids.get(record.name.as_str()) {
-                    builder.set_net_weight(net_id, record.weight)?;
-                }
-                // Weights for nodes (some suites weight nodes) are ignored.
-            }
-        }
-
-        let netlist = builder.build()?;
-
-        let mut positions = Vec::new();
-        if let Some(pl) = pl {
-            positions = vec![(0.0, 0.0, 0u32); netlist.num_cells()];
-            for record in &pl.records {
-                let &cell = by_name
-                    .get(record.name.as_str())
-                    .ok_or_else(|| AssembleDesignError::UnknownNode(record.name.clone()))?;
-                positions[cell.index()] = (
-                    record.x * scale,
-                    record.y * scale,
-                    record.layer.unwrap_or(0),
-                );
-            }
-        }
-
-        let rows = scl
-            .map(|scl| {
-                scl.rows
-                    .iter()
-                    .map(|r| {
-                        (
-                            r.coordinate * scale,
-                            r.height * scale,
-                            r.subrow_origin * scale,
-                            r.right_edge() * scale,
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-
-        Ok(Design {
-            name: name.into(),
-            netlist,
-            positions,
-            rows,
-        })
-    }
-
-    /// Assembles a design directly from Bookshelf file *text* in one
-    /// streaming pass per file, with no intermediate record structures.
+    /// Assembles a design from Bookshelf file *text* in one streaming pass
+    /// per file, with no intermediate record structures.
     ///
     /// Node and net names are read as `&str` slices of the input and only
     /// copied into the netlist arena, builders are pre-sized from the
     /// declared header counts, and the name→cell map borrows from
-    /// `nodes_text` — at a million cells this path is several times faster
-    /// than `parse_*` followed by [`assemble`](Self::assemble) and peaks
-    /// at a fraction of the memory. [`load`](Self::load) uses it.
+    /// `nodes_text`. [`load`](Self::load) reads the files an `.aux`
+    /// names and assembles them through this path.
     ///
-    /// Direction hints and `.wts`/`.pl` handling match
-    /// [`assemble`](Self::assemble) exactly; the two paths produce
-    /// identical designs.
+    /// Direction hints map as follows: the first `O` pin of a net becomes
+    /// the driver; additional `O` pins and `B` pins are demoted to inputs
+    /// (real suites occasionally contain multi-driver records). `.wts`
+    /// weights for unknown names (some suites weight nodes) are ignored.
     ///
     /// # Errors
     ///
-    /// Returns [`LoadDesignError::Parse`] for malformed file text and
-    /// [`LoadDesignError::Assemble`] for references to undeclared nodes or
-    /// invalid netlist structure.
+    /// Returns [`LoadDesignError::Parse`] for malformed file text, naming
+    /// the file kind, and [`LoadDesignError::Assemble`] for references to
+    /// undeclared nodes or invalid netlist structure (e.g. non-positive
+    /// cell dimensions).
     pub fn assemble_streaming(
         name: impl Into<String>,
         nodes_text: &str,
@@ -262,28 +105,6 @@ impl Design {
     ) -> Result<Self, LoadDesignError> {
         Self::assemble_streaming_with(
             name, nodes_text, nets_text, wts_text, pl_text, scl, options, false,
-        )
-    }
-
-    /// [`assemble_streaming`](Self::assemble_streaming) with the netlist
-    /// builder in permissive mode (see
-    /// [`assemble_permissive`](Self::assemble_permissive)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`assemble_streaming`](Self::assemble_streaming), minus
-    /// dimension rejections.
-    pub fn assemble_streaming_permissive(
-        name: impl Into<String>,
-        nodes_text: &str,
-        nets_text: &str,
-        wts_text: Option<&str>,
-        pl_text: Option<&str>,
-        scl: Option<&SclFile>,
-        options: DesignBuilderOptions,
-    ) -> Result<Self, LoadDesignError> {
-        Self::assemble_streaming_with(
-            name, nodes_text, nets_text, wts_text, pl_text, scl, options, true,
         )
     }
 
@@ -331,8 +152,8 @@ impl Design {
         }
 
         // Names borrowed from `nets_text` cover named records; generated
-        // default names (`net{i}`) for unnamed records go in a side map so
-        // `.wts` lookups behave identically to the record-based path.
+        // default names (`net{i}`, as `parse_nets` names them) for unnamed
+        // records go in a side map so `.wts` records can still weight them.
         let mut net_ids: FxHashMap<&str, tvp_netlist::NetId> =
             FxHashMap::with_capacity_and_hasher(nets_header.num_nets, Default::default());
         let mut generated_ids: FxHashMap<String, tvp_netlist::NetId> = FxHashMap::default();
@@ -503,10 +324,10 @@ impl Design {
         Self::load_with(aux_path.as_ref(), options, false)
     }
 
-    /// [`load`](Self::load) with the netlist builder in permissive mode
-    /// (see [`assemble_permissive`](Self::assemble_permissive)): designs
-    /// with degenerate cell dimensions load so `tvp validate` can diagnose
-    /// and repair them.
+    /// [`load`](Self::load) with the netlist builder in permissive mode:
+    /// degenerate cell dimensions are admitted instead of rejected, so
+    /// `tvp validate` can diagnose and repair them. Connectivity errors
+    /// are still hard failures.
     ///
     /// # Errors
     ///
@@ -613,7 +434,8 @@ impl Design {
     }
 
     /// Converts the design back to Bookshelf file structures (the inverse
-    /// of [`assemble`](Self::assemble)), scaling meters to site units.
+    /// of [`assemble_streaming`](Self::assemble_streaming) once written
+    /// out as text), scaling meters to site units.
     /// Layers are written through the 3D `.pl` extension.
     pub fn to_files(
         &self,
@@ -702,28 +524,29 @@ impl Design {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_nets, parse_nodes, parse_pl, parse_scl, parse_wts};
+    use crate::parse_scl;
+
+    /// Assembles `nodes`/`nets` text alone with default options.
+    fn assemble(nodes: &str, nets: &str) -> Result<Design, LoadDesignError> {
+        let opts = DesignBuilderOptions::default();
+        Design::assemble_streaming("x", nodes, nets, None, None, None, opts)
+    }
 
     fn sample() -> Design {
-        let nodes =
-            parse_nodes("NumNodes : 3\nNumTerminals : 1\n a 4 8\n b 2 8\n p 1 1 terminal\n")
-                .unwrap();
-        let nets = parse_nets(
-            "NumNets : 2\nNumPins : 4\nNetDegree : 2 n0\n a O\n b I\nNetDegree : 2 n1\n b O\n p I\n",
-        )
-        .unwrap();
-        let wts = parse_wts("n0 2\n").unwrap();
-        let pl = parse_pl("a 0 0 : N\nb 4 0 : N\np 10 10 : N /FIXED\n").unwrap();
+        let nodes = "NumNodes : 3\nNumTerminals : 1\n a 4 8\n b 2 8\n p 1 1 terminal\n";
+        let nets = "NumNets : 2\nNumPins : 4\nNetDegree : 2 n0\n a O\n b I\nNetDegree : 2 n1\n b O\n p I\n";
+        let wts = "n0 2\n";
+        let pl = "a 0 0 : N\nb 4 0 : N\np 10 10 : N /FIXED\n";
         let scl = parse_scl(
             "NumRows : 1\nCoreRow Horizontal\n Coordinate : 0\n Height : 8\n SubrowOrigin : 0 NumSites : 20\nEnd\n",
         )
         .unwrap();
-        Design::assemble(
+        Design::assemble_streaming(
             "sample",
-            &nodes,
-            &nets,
-            Some(&wts),
-            Some(&pl),
+            nodes,
+            nets,
+            Some(wts),
+            Some(pl),
             Some(&scl),
             DesignBuilderOptions::default(),
         )
@@ -765,16 +588,12 @@ mod tests {
         let d = sample();
         let opts = DesignBuilderOptions::default();
         let (nodes, nets, wts, pl) = d.to_files(opts);
-        let nodes2 = parse_nodes(&crate::write_nodes(&nodes)).unwrap();
-        let nets2 = parse_nets(&crate::write_nets(&nets)).unwrap();
-        let wts2 = parse_wts(&crate::write_wts(&wts)).unwrap();
-        let pl2 = parse_pl(&crate::write_pl(&pl.unwrap())).unwrap();
-        let d2 = Design::assemble(
+        let d2 = Design::assemble_streaming(
             "sample2",
-            &nodes2,
-            &nets2,
-            Some(&wts2),
-            Some(&pl2),
+            &crate::write_nodes(&nodes),
+            &crate::write_nets(&nets),
+            Some(&crate::write_wts(&wts)),
+            Some(&crate::write_pl(&pl.unwrap())),
             None,
             opts,
         )
@@ -826,34 +645,26 @@ mod tests {
 
     #[test]
     fn permissive_load_admits_degenerate_dims_for_repair_tooling() {
-        let nodes = parse_nodes("NumNodes : 2\nNumTerminals : 0\n a 0 0\n b 1 1\n").unwrap();
-        let nets = parse_nets("NumNets : 1\nNumPins : 2\nNetDegree : 2 n0\n a O\n b I\n").unwrap();
+        let nodes = "NumNodes : 2\nNumTerminals : 0\n a 0 0\n b 1 1\n";
+        let nets = "NumNets : 1\nNumPins : 2\nNetDegree : 2 n0\n a O\n b I\n";
         let opts = DesignBuilderOptions::default();
-        let err = Design::assemble("x", &nodes, &nets, None, None, None, opts).unwrap_err();
-        assert!(matches!(err, AssembleDesignError::Netlist(_)));
+        let err = assemble(nodes, nets).unwrap_err();
+        assert!(matches!(
+            err,
+            LoadDesignError::Assemble(AssembleDesignError::Netlist(_))
+        ));
 
-        let d = Design::assemble_permissive("x", &nodes, &nets, None, None, None, opts)
-            .expect("permissive assembly admits zero-area cells");
-        assert_eq!(d.netlist.num_cells(), 2);
-        assert_eq!(d.netlist.cells()[0].width(), 0.0);
-
-        // And the same contrast through the on-disk loader.
+        // The permissive contrast goes through the on-disk loader.
         let dir = std::env::temp_dir().join(format!("tvp_bs_perm_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("x.aux"), "RowBasedPlacement : x.nodes x.nets\n").unwrap();
-        std::fs::write(
-            dir.join("x.nodes"),
-            "NumNodes : 2\nNumTerminals : 0\n a 0 0\n b 1 1\n",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("x.nets"),
-            "NumNets : 1\nNumPins : 2\nNetDegree : 2 n0\n a O\n b I\n",
-        )
-        .unwrap();
+        std::fs::write(dir.join("x.nodes"), nodes).unwrap();
+        std::fs::write(dir.join("x.nets"), nets).unwrap();
         assert!(Design::load(dir.join("x.aux"), opts).is_err());
-        let loaded = Design::load_permissive(dir.join("x.aux"), opts).unwrap();
+        let loaded = Design::load_permissive(dir.join("x.aux"), opts)
+            .expect("permissive loading admits zero-area cells");
         assert_eq!(loaded.netlist.num_cells(), 2);
+        assert_eq!(loaded.netlist.cells()[0].width(), 0.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -868,36 +679,21 @@ mod tests {
 
     #[test]
     fn unknown_node_in_nets_is_error() {
-        let nodes = parse_nodes("NumNodes : 1\nNumTerminals : 0\n a 1 1\n").unwrap();
-        let nets = parse_nets("NumNets : 1\nNumPins : 1\nNetDegree : 1 n0\n ghost I\n").unwrap();
-        let err = Design::assemble(
-            "x",
-            &nodes,
-            &nets,
-            None,
-            None,
-            None,
-            DesignBuilderOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, AssembleDesignError::UnknownNode(_)));
+        let nodes = "NumNodes : 1\nNumTerminals : 0\n a 1 1\n";
+        let nets = "NumNets : 1\nNumPins : 1\nNetDegree : 1 n0\n ghost I\n";
+        let err = assemble(nodes, nets).unwrap_err();
+        assert!(matches!(
+            err,
+            LoadDesignError::Assemble(AssembleDesignError::UnknownNode(_))
+        ));
         assert!(err.to_string().contains("ghost"));
     }
 
     #[test]
     fn duplicate_output_pins_demoted() {
-        let nodes = parse_nodes("NumNodes : 2\nNumTerminals : 0\n a 1 1\n b 1 1\n").unwrap();
-        let nets = parse_nets("NumNets : 1\nNumPins : 2\nNetDegree : 2 n0\n a O\n b O\n").unwrap();
-        let d = Design::assemble(
-            "x",
-            &nodes,
-            &nets,
-            None,
-            None,
-            None,
-            DesignBuilderOptions::default(),
-        )
-        .unwrap();
+        let nodes = "NumNodes : 2\nNumTerminals : 0\n a 1 1\n b 1 1\n";
+        let nets = "NumNets : 1\nNumPins : 2\nNetDegree : 2 n0\n a O\n b O\n";
+        let d = assemble(nodes, nets).unwrap();
         let net = d.netlist.net(tvp_netlist::NetId::new(0));
         assert_eq!(net.num_input_pins(), 1);
     }

@@ -5,8 +5,8 @@
 //! million. The pull readers here yield entries whose string fields are
 //! `&str` slices *borrowed from the input text*: parsing a 119 MB `.nets`
 //! file allocates nothing per line, and a consumer that interns names into
-//! its own arena (as [`crate::Design::assemble`] does) never copies a byte
-//! it does not keep.
+//! its own arena (as [`crate::Design::assemble_streaming`] does) never
+//! copies a byte it does not keep.
 //!
 //! Each reader parses the file header eagerly (so builders can pre-size
 //! from the declared counts) and validates the declared counts against the

@@ -20,44 +20,18 @@ use tvp_netlist::Netlist;
 /// moves/swaps, local moves/swaps, then cell shifting until the maximum
 /// bin density falls below the configured target.
 ///
-/// Returns the mesh in its final state so detailed legalization can reuse
-/// the density information.
-pub fn coarse_legalize(
-    objective: &mut IncrementalObjective<'_>,
-    netlist: &Netlist,
-    chip: &Chip,
-    config: &PlacerConfig,
-) -> DensityMesh {
-    let (mesh, _interrupted) =
-        coarse_legalize_observed(objective, netlist, chip, config, &mut |_| {
-            ControlFlow::Continue(())
-        });
-    mesh
-}
-
-/// [`coarse_legalize`] with a pass-boundary probe: after every moves pass
-/// and every shifting phase the probe receives a [`PassEvent`] and may
-/// return [`ControlFlow::Break`] to stop the stage at that boundary.
-///
-/// Returns the mesh plus whether the stage was interrupted. The probe
-/// never changes the moves the stage makes — a probe that always continues
-/// produces bit-identical results to [`coarse_legalize`] (it *is*
-/// [`coarse_legalize`]).
-pub fn coarse_legalize_observed(
-    objective: &mut IncrementalObjective<'_>,
-    netlist: &Netlist,
-    chip: &Chip,
-    config: &PlacerConfig,
-    probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
-) -> (DensityMesh, bool) {
-    coarse_legalize_priced(objective, netlist, chip, config, None, probe)
-}
-
-/// [`coarse_legalize_observed`] with optional per-move thermal pricing:
-/// an armed pricer (compact tier + `alpha_temp > 0`) adds the
+/// An armed `pricer` (compact tier + `alpha_temp > 0`) adds the
 /// frozen-field thermal term to every move/swap candidate's delta
-/// (DESIGN.md §14). `None` is bit-identical to the unpriced stage.
-pub(crate) fn coarse_legalize_priced(
+/// (DESIGN.md §14); `None` prices moves by the objective alone. After
+/// every moves pass and every shifting phase the `probe` receives a
+/// [`PassEvent`] and may return [`ControlFlow::Break`] to stop the stage
+/// at that boundary; a probe that always continues never changes the
+/// moves the stage makes.
+///
+/// Returns the mesh in its final state, so detailed legalization can
+/// reuse the density information, plus whether the probe interrupted
+/// the stage.
+pub fn coarse_legalize(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
     chip: &Chip,
@@ -76,7 +50,7 @@ pub(crate) fn coarse_legalize_priced(
     mesh.rebuild(netlist, objective.placement());
 
     for pass in 0..config.coarse_move_passes {
-        let mut improved = moves::global_pass_priced(
+        let mut improved = moves::global_pass(
             objective,
             &mut mesh,
             netlist,
@@ -85,7 +59,7 @@ pub(crate) fn coarse_legalize_priced(
             &mut rng,
             pricer.as_deref_mut(),
         );
-        improved += moves::local_pass_priced(
+        improved += moves::local_pass(
             objective,
             &mut mesh,
             netlist,
@@ -104,7 +78,7 @@ pub(crate) fn coarse_legalize_priced(
         }
     }
 
-    let (iterations, interrupted) = shift::shift_until_spread_observed(
+    let (iterations, interrupted) = shift::shift_until_spread(
         objective,
         &mut mesh,
         netlist,
@@ -112,7 +86,7 @@ pub(crate) fn coarse_legalize_priced(
         config.coarse_max_density,
         config.coarse_shift_iterations,
         config.shift_strategy,
-        &mut |r| probe(shift_pass_event(r)),
+        probe,
     );
     if interrupted
         || probe(PassEvent::CoarseShift {
@@ -126,7 +100,7 @@ pub(crate) fn coarse_legalize_priced(
     }
 
     // One final local cleanup now that densities are even.
-    let improved = moves::local_pass_priced(objective, &mut mesh, netlist, chip, &mut rng, pricer);
+    let improved = moves::local_pass(objective, &mut mesh, netlist, chip, &mut rng, pricer);
     if probe(PassEvent::CoarseMoves {
         pass: config.coarse_move_passes,
         improved,
@@ -138,7 +112,7 @@ pub(crate) fn coarse_legalize_priced(
     }
     // Moves may have re-congested isolated bins; restore the density
     // guarantee detailed legalization relies on.
-    let (iterations, interrupted) = shift::shift_until_spread_observed(
+    let (iterations, interrupted) = shift::shift_until_spread(
         objective,
         &mut mesh,
         netlist,
@@ -146,7 +120,7 @@ pub(crate) fn coarse_legalize_priced(
         config.coarse_max_density,
         config.coarse_shift_iterations,
         config.shift_strategy,
-        &mut |r| probe(shift_pass_event(r)),
+        probe,
     );
     if interrupted {
         return (mesh, true);
@@ -157,17 +131,6 @@ pub(crate) fn coarse_legalize_priced(
         objective: objective.total(),
     });
     (mesh, false)
-}
-
-/// Maps a per-pass shifting report onto the observer event stream.
-fn shift_pass_event(r: shift::ShiftPassReport) -> PassEvent {
-    PassEvent::ShiftPass {
-        pass: r.pass,
-        moved: r.moved,
-        max_boundary_delta: r.max_boundary_delta,
-        max_density: r.max_density,
-        wall_ms: r.wall_ms,
-    }
 }
 
 /// Displaces every movable cell by a small random offset (within one bin)
@@ -206,14 +169,17 @@ mod tests {
         let config = PlacerConfig::new(2);
         let chip = Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let placement = global_place(&netlist, &chip, &model, &config, &[], false, None).0;
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
 
         let mut initial_mesh = DensityMesh::coarse(&chip);
         initial_mesh.rebuild(&netlist, objective.placement());
         let density_before = initial_mesh.max_density();
 
-        let mesh = coarse_legalize(&mut objective, &netlist, &chip, &config);
+        let (mesh, _) =
+            coarse_legalize(&mut objective, &netlist, &chip, &config, None, &mut |_| {
+                ControlFlow::Continue(())
+            });
 
         assert!(
             mesh.max_density() < density_before,

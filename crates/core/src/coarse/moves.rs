@@ -59,21 +59,13 @@ const PROPOSE_MIN_CHUNK: usize = 32;
 
 /// One pass of local moves/swaps over all movable cells (random order).
 /// Returns the number of improving actions executed.
+///
+/// When a `pricer` is armed (compact tier + `alpha_temp > 0`), every
+/// candidate's objective delta additionally carries the frozen-field
+/// thermal term and committed actions re-superpose the moved power
+/// (DESIGN.md §14); the pass then runs the serial loop instead of the
+/// batched engine.
 pub fn local_pass(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    rng: &mut SmallRng,
-) -> usize {
-    local_pass_priced(objective, mesh, netlist, chip, rng, None)
-}
-
-/// [`local_pass`] with optional per-move thermal pricing: when a pricer
-/// is armed (compact tier + `alpha_temp > 0`), every candidate's
-/// objective delta additionally carries the frozen-field thermal term
-/// and committed actions re-superpose the moved power (DESIGN.md §14).
-pub(crate) fn local_pass_priced(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
     netlist: &Netlist,
@@ -132,21 +124,9 @@ fn local_candidates(mesh: &DensityMesh, cell: CellId, out: &mut Vec<usize>) {
 }
 
 /// One pass of global moves/swaps toward each cell's optimal region.
-/// Returns the number of improving actions executed.
+/// Returns the number of improving actions executed. `pricer` works as in
+/// [`local_pass`].
 pub fn global_pass(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    region_bins: usize,
-    rng: &mut SmallRng,
-) -> usize {
-    global_pass_priced(objective, mesh, netlist, chip, region_bins, rng, None)
-}
-
-/// [`global_pass`] with optional per-move thermal pricing (see
-/// [`local_pass_priced`]).
-pub(crate) fn global_pass_priced(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
     netlist: &Netlist,
@@ -745,8 +725,16 @@ mod tests {
         mesh.rebuild(&netlist, objective.placement());
         let before = objective.total();
         let mut rng = SmallRng::seed_from_u64(1);
-        let improved_global = global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng);
-        let improved_local = local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng);
+        let improved_global = global_pass(
+            &mut objective,
+            &mut mesh,
+            &netlist,
+            &chip,
+            5,
+            &mut rng,
+            None,
+        );
+        let improved_local = local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng, None);
         assert!(
             improved_global + improved_local > 0,
             "random start must improve"
@@ -766,8 +754,16 @@ mod tests {
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
         let mut rng = SmallRng::seed_from_u64(2);
-        local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng);
-        global_pass(&mut objective, &mut mesh, &netlist, &chip, 5, &mut rng);
+        local_pass(&mut objective, &mut mesh, &netlist, &chip, &mut rng, None);
+        global_pass(
+            &mut objective,
+            &mut mesh,
+            &netlist,
+            &chip,
+            5,
+            &mut rng,
+            None,
+        );
         // Every cell's registered bin matches its actual position.
         for (cell, x, y, layer) in objective.placement().iter() {
             if netlist.cell(cell).is_movable() {

@@ -33,6 +33,7 @@
 
 use super::mesh::DensityMesh;
 use crate::objective::{CellMove, FrozenPricer, FrozenScratch, IncrementalObjective};
+use crate::observer::PassEvent;
 use crate::{Chip, ShiftStrategy};
 use std::ops::ControlFlow;
 use tvp_netlist::Netlist;
@@ -95,37 +96,9 @@ pub struct ShiftPassStats {
     pub max_boundary_delta: f64,
 }
 
-/// One per-pass report delivered to the
-/// [`shift_until_spread_observed`] probe.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ShiftPassReport {
-    /// Pass index within the phase, from 0.
-    pub pass: usize,
-    /// Cells the pass moved.
-    pub moved: usize,
-    /// Largest relative bin-boundary displacement of the pass.
-    pub max_boundary_delta: f64,
-    /// Maximum bin density after the pass — the stall-detection signal.
-    pub max_density: f64,
-    /// Wall-clock milliseconds the pass took.
-    pub wall_ms: f64,
-}
-
-/// One full cell-shifting pass over every x row and every y row.
-/// Returns the number of cells moved.
+/// One full cell-shifting pass over every x row and every y row, plus
+/// the z-column rebalancing of whole-layer overflow.
 pub fn shift_pass(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    target_density: f64,
-    strategy: ShiftStrategy,
-) -> usize {
-    shift_pass_stats(objective, mesh, netlist, chip, target_density, strategy).moved
-}
-
-/// [`shift_pass`] with the full per-pass statistics.
-pub fn shift_pass_stats(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
     netlist: &Netlist,
@@ -630,34 +603,9 @@ fn shift_row(
 }
 
 /// Runs shifting passes until the mesh's maximum density drops below
-/// `target`, the passes converge (see
-/// [`shift_until_spread_observed`]), or `max_iterations` is exhausted.
-/// Returns the number of iterations executed.
-pub fn shift_until_spread(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    target: f64,
-    max_iterations: usize,
-    strategy: ShiftStrategy,
-) -> usize {
-    let (iterations, _) = shift_until_spread_observed(
-        objective,
-        mesh,
-        netlist,
-        chip,
-        target,
-        max_iterations,
-        strategy,
-        &mut |_| ControlFlow::Continue(()),
-    );
-    iterations
-}
-
-/// [`shift_until_spread`] with a per-pass probe: after every pass the
-/// probe receives a [`ShiftPassReport`] and may return
-/// [`ControlFlow::Break`] to stop at that boundary.
+/// `target` or the passes converge. After every pass the probe receives a
+/// [`PassEvent::ShiftPass`] and may return [`ControlFlow::Break`] to stop
+/// at that boundary.
 ///
 /// Termination is convergence-adaptive rather than a fixed pass count.
 /// The loop stops when:
@@ -678,7 +626,7 @@ pub fn shift_until_spread(
 /// `max_iterations` is kept as a hard cap. Returns `(iterations
 /// executed, interrupted by the probe)`.
 #[allow(clippy::too_many_arguments)]
-pub fn shift_until_spread_observed(
+pub fn shift_until_spread(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
     netlist: &Netlist,
@@ -686,7 +634,7 @@ pub fn shift_until_spread_observed(
     target: f64,
     max_iterations: usize,
     strategy: ShiftStrategy,
-    probe: &mut dyn FnMut(ShiftPassReport) -> ControlFlow<()>,
+    probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
 ) -> (usize, bool) {
     let movable = netlist
         .iter_cells()
@@ -703,9 +651,9 @@ pub fn shift_until_spread_observed(
             return (iteration, false);
         }
         let t = std::time::Instant::now();
-        let stats = shift_pass_stats(objective, mesh, netlist, chip, target, strategy);
+        let stats = shift_pass(objective, mesh, netlist, chip, target, strategy);
         let density = mesh.max_density();
-        let report = ShiftPassReport {
+        let report = PassEvent::ShiftPass {
             pass: iteration,
             moved: stats.moved,
             max_boundary_delta: stats.max_boundary_delta,
@@ -846,7 +794,9 @@ mod tests {
                 1.10,
                 60,
                 strategy,
-            );
+                &mut |_| ControlFlow::Continue(()),
+            )
+            .0;
             (mesh.max_density(), iters)
         };
         let (whole_density, _) = spread_with(ShiftStrategy::WholeRow);
@@ -893,6 +843,7 @@ mod tests {
             1.10,
             40,
             ShiftStrategy::WholeRow,
+            &mut |_| ControlFlow::Continue(()),
         );
         let layer0_after = mesh.layer_area(0);
         assert!(
@@ -936,7 +887,9 @@ mod tests {
             1.10,
             100,
             ShiftStrategy::WholeRow,
-        );
+            &mut |_| ControlFlow::Continue(()),
+        )
+        .0;
         let after = mesh.max_density();
         assert!(iterations > 0);
         assert!(
@@ -968,7 +921,7 @@ mod tests {
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
         if mesh.max_density() <= 1.10 {
-            let stats = shift_pass_stats(
+            let stats = shift_pass(
                 &mut objective,
                 &mut mesh,
                 &netlist,
@@ -1015,7 +968,9 @@ mod tests {
                     1.10,
                     50,
                     ShiftStrategy::WholeRow,
-                );
+                    &mut |_| ControlFlow::Continue(()),
+                )
+                .0;
                 (objective.placement().clone(), iters)
             })
         };
@@ -1057,9 +1012,10 @@ mod tests {
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
+        // (pass, moved, max_boundary_delta, max_density, wall_ms) per pass.
         let mut reports = Vec::new();
         let cap = 500;
-        let (iterations, interrupted) = shift_until_spread_observed(
+        let (iterations, interrupted) = shift_until_spread(
             &mut objective,
             &mut mesh,
             &netlist,
@@ -1067,33 +1023,44 @@ mod tests {
             1.10,
             cap,
             ShiftStrategy::WholeRow,
-            &mut |r| {
-                reports.push(r);
+            &mut |event| {
+                let PassEvent::ShiftPass {
+                    pass,
+                    moved,
+                    max_boundary_delta,
+                    max_density,
+                    wall_ms,
+                } = event
+                else {
+                    panic!("shifting reports only shift passes: {event:?}");
+                };
+                reports.push((pass, moved, max_boundary_delta, max_density, wall_ms));
                 ControlFlow::Continue(())
             },
         );
         assert!(!interrupted);
         assert!(iterations < cap, "convergence must beat the {cap} cap");
         assert_eq!(reports.len(), iterations);
-        for (i, r) in reports.iter().enumerate() {
-            assert_eq!(r.pass, i);
-            assert!(r.wall_ms >= 0.0);
+        for (i, &(pass, .., wall_ms)) in reports.iter().enumerate() {
+            assert_eq!(pass, i);
+            assert!(wall_ms >= 0.0);
         }
         // The spread ends for one of its documented reasons: the
         // density target was met, a pass moved nothing, the noise-scale
         // thresholds were crossed, or the peak density stalled for
         // STALL_PATIENCE consecutive passes.
-        let last = reports.last().expect("at least one pass");
+        let last = *reports.last().expect("at least one pass");
+        let (_, last_moved, last_boundary_delta, ..) = last;
         // Replay the stall detector over the reported densities.
         let mut best = f64::INFINITY;
         let mut run = 0usize;
         let mut stalled = false;
-        for r in &reports {
-            if r.max_density < best * (1.0 - STALL_REL_IMPROVEMENT) {
-                best = r.max_density;
+        for &(.., max_density, _) in &reports {
+            if max_density < best * (1.0 - STALL_REL_IMPROVEMENT) {
+                best = max_density;
                 run = 0;
             } else {
-                best = best.min(r.max_density);
+                best = best.min(max_density);
                 run += 1;
                 if run >= STALL_PATIENCE {
                     stalled = true;
@@ -1102,16 +1069,16 @@ mod tests {
         }
         assert!(
             mesh.max_density() <= 1.10
-                || last.moved == 0
-                || last.max_boundary_delta <= CONVERGED_BOUNDARY_DELTA
+                || last_moved == 0
+                || last_boundary_delta <= CONVERGED_BOUNDARY_DELTA
                 || stalled,
             "spread stopped without a reason: {last:?} (max density {})",
             mesh.max_density()
         );
         // Every report carries the post-pass peak density for the
         // stall detector and the observer event.
-        for r in &reports {
-            assert!(r.max_density.is_finite() && r.max_density > 0.0);
+        for &(.., max_density, _) in &reports {
+            assert!(max_density.is_finite() && max_density > 0.0);
         }
     }
 
@@ -1126,7 +1093,7 @@ mod tests {
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
         let mut mesh = DensityMesh::coarse(&chip);
         mesh.rebuild(&netlist, objective.placement());
-        let (iterations, interrupted) = shift_until_spread_observed(
+        let (iterations, interrupted) = shift_until_spread(
             &mut objective,
             &mut mesh,
             &netlist,

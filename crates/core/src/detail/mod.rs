@@ -18,8 +18,7 @@
 mod refine;
 mod row;
 
-pub(crate) use refine::refine_legal_priced;
-pub use refine::{refine_legal, refine_legal_observed, RefineStats};
+pub use refine::{refine_legal, RefineStats};
 pub use row::{InsertionQuote, RowPacker};
 
 use crate::objective::IncrementalObjective;
@@ -45,26 +44,13 @@ pub struct LegalizeStats {
 /// centers with no overlaps; fixed cells are left untouched.
 ///
 /// `row_window` is the number of rows above/below the target row tried
-/// before the window expands.
+/// before the window expands. The `probe` receives one
+/// [`PassEvent::DetailRows`] per packed layer. Unlike the coarse and
+/// refinement probes, it cannot interrupt the stage: a partially
+/// legalized placement is worse than useless, so legalization always
+/// runs to completion and `Break` is ignored. The probe never changes
+/// what the stage does.
 pub fn detail_legalize(
-    objective: &mut IncrementalObjective<'_>,
-    netlist: &Netlist,
-    chip: &Chip,
-    row_window: usize,
-) -> LegalizeStats {
-    detail_legalize_observed(objective, netlist, chip, row_window, &mut |_| {
-        ControlFlow::Continue(())
-    })
-}
-
-/// [`detail_legalize`] with a probe receiving one
-/// [`PassEvent::DetailRows`] per packed layer.
-///
-/// Unlike the coarse and refinement probes, this one cannot interrupt the
-/// stage: a partially legalized placement is worse than useless, so
-/// legalization always runs to completion and `Break` is ignored. The
-/// probe never changes what the stage does.
-pub fn detail_legalize_observed(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
     chip: &Chip,
@@ -364,11 +350,19 @@ mod tests {
         let config = PlacerConfig::new(layers);
         let chip = Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let placement = global_place(&netlist, &chip, &model, &config, &[], false, None).0;
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
-        coarse_legalize(&mut objective, &netlist, &chip, &config);
+        coarse_legalize(&mut objective, &netlist, &chip, &config, None, &mut |_| {
+            ControlFlow::Continue(())
+        });
         let before = objective.total();
-        let stats = detail_legalize(&mut objective, &netlist, &chip, config.detail_row_window);
+        let stats = detail_legalize(
+            &mut objective,
+            &netlist,
+            &chip,
+            config.detail_row_window,
+            &mut |_| ControlFlow::Continue(()),
+        );
         let placement = objective.placement().clone();
         (netlist, chip, config, before, stats, placement)
     }

@@ -79,41 +79,17 @@ pub struct RefineStats {
 
 /// Runs `passes` rounds of legality-preserving refinement. The placement
 /// stays fully legal after every individual move.
-pub fn refine_legal(
-    objective: &mut IncrementalObjective<'_>,
-    netlist: &Netlist,
-    chip: &Chip,
-    passes: usize,
-) -> RefineStats {
-    let (stats, _interrupted) =
-        refine_legal_observed(objective, netlist, chip, passes, &mut |_| {
-            ControlFlow::Continue(())
-        });
-    stats
-}
-
-/// [`refine_legal`] with a pass-boundary probe: after every pass the probe
-/// receives a [`PassEvent::RefinePass`] and may return
-/// [`ControlFlow::Break`] to stop refinement there. Every move preserves
-/// legality, so stopping between passes is always safe.
 ///
-/// Returns the stats plus whether refinement was interrupted. The probe
-/// never changes the moves made.
-pub fn refine_legal_observed(
-    objective: &mut IncrementalObjective<'_>,
-    netlist: &Netlist,
-    chip: &Chip,
-    passes: usize,
-    probe: &mut dyn FnMut(PassEvent) -> ControlFlow<()>,
-) -> (RefineStats, bool) {
-    refine_legal_priced(objective, netlist, chip, passes, None, probe)
-}
-
-/// [`refine_legal_observed`] with optional per-move thermal pricing: an
-/// armed pricer (compact tier + `alpha_temp > 0`) adds the frozen-field
-/// thermal term to every slide and swap candidate's delta
-/// (DESIGN.md §14). `None` is bit-identical to the unpriced refinement.
-pub(crate) fn refine_legal_priced(
+/// An armed `pricer` (compact tier + `alpha_temp > 0`) adds the
+/// frozen-field thermal term to every slide and swap candidate's delta
+/// (DESIGN.md §14); `None` prices moves by the objective alone. After
+/// every pass the `probe` receives a [`PassEvent::RefinePass`] and may
+/// return [`ControlFlow::Break`] to stop refinement there; every move
+/// preserves legality, so stopping between passes is always safe, and
+/// the probe never changes the moves made.
+///
+/// Returns the stats plus whether refinement was interrupted.
+pub fn refine_legal(
     objective: &mut IncrementalObjective<'_>,
     netlist: &Netlist,
     chip: &Chip,
@@ -277,14 +253,25 @@ mod tests {
         let config = PlacerConfig::new(2);
         let chip = crate::Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let placement = global_place(&netlist, &chip, &model, &config, &[], false, None).0;
         let mut objective = IncrementalObjective::new(&netlist, &model, placement);
-        coarse_legalize(&mut objective, &netlist, &chip, &config);
-        detail_legalize(&mut objective, &netlist, &chip, config.detail_row_window);
+        coarse_legalize(&mut objective, &netlist, &chip, &config, None, &mut |_| {
+            ControlFlow::Continue(())
+        });
+        detail_legalize(
+            &mut objective,
+            &netlist,
+            &chip,
+            config.detail_row_window,
+            &mut |_| ControlFlow::Continue(()),
+        );
         assert_eq!(check_legal(&netlist, &chip, objective.placement()), None);
 
         let before = objective.total();
-        let stats = refine_legal(&mut objective, &netlist, &chip, 3);
+        let stats = refine_legal(&mut objective, &netlist, &chip, 3, None, &mut |_| {
+            ControlFlow::Continue(())
+        })
+        .0;
         let after = objective.total();
 
         assert!(after <= before + 1e-12, "refinement must not regress");
@@ -312,9 +299,14 @@ mod tests {
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let mut objective = IncrementalObjective::new(&netlist, &model, result.placement.clone());
         // Run to convergence, then one more round must do ~nothing.
-        refine_legal(&mut objective, &netlist, &chip, 20);
+        refine_legal(&mut objective, &netlist, &chip, 20, None, &mut |_| {
+            ControlFlow::Continue(())
+        });
         let settled = objective.total();
-        let stats = refine_legal(&mut objective, &netlist, &chip, 1);
+        let stats = refine_legal(&mut objective, &netlist, &chip, 1, None, &mut |_| {
+            ControlFlow::Continue(())
+        })
+        .0;
         assert!(
             (objective.total() - settled).abs() <= 1e-9 * settled.max(1e-12),
             "converged placement must be stable (extra improvement {})",

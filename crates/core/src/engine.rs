@@ -16,13 +16,10 @@
 //! pre-engine pipeline.
 
 use crate::checkpoint::{self, CheckpointLoad};
-use crate::coarse::coarse_legalize_priced;
+use crate::coarse::coarse_legalize;
 use crate::config::ThermalTierPolicy;
 use crate::control::StopCheck;
-use crate::detail::{
-    check_legal, detail_legalize, detail_legalize_observed, refine_legal, refine_legal_priced,
-    LegalizeStats,
-};
+use crate::detail::{check_legal, detail_legalize, refine_legal, LegalizeStats};
 use crate::faults::{Degradation, FaultKind, FaultPlan};
 use crate::metrics::{self, ThermalGuard};
 use crate::objective::{IncrementalObjective, ObjectiveModel};
@@ -236,24 +233,20 @@ impl Stage for GlobalStage {
         // mid-FM-pass (every ~1k heap pops) instead of only at the stage
         // boundary. Unarmed runs pass `None`, keeping the hot loops
         // poll-free and the placement bitwise identical to history.
-        let armed = monitor.armed_stop();
-        let stop_fn = armed.map(|check| move || check.should_stop());
-        let interrupted;
-        let (placement, stats) = {
-            let stop: Option<&(dyn Fn() -> bool + Sync)> =
-                stop_fn.as_ref().map(|f| f as &(dyn Fn() -> bool + Sync));
-            let out = crate::global::global_place_with_fixed_stats_stop(
-                ctx.netlist,
-                ctx.chip,
-                ctx.model,
-                ctx.config,
-                ctx.fixed_positions,
-                inject,
-                stop,
-            );
-            interrupted = stop.is_some_and(|s| s());
-            out
-        };
+        let stop_fn = monitor
+            .armed_stop()
+            .map(|check| move || check.should_stop());
+        let stop = stop_fn.as_ref().map(|f| f as &tvp_partition::StopFn);
+        let (placement, stats) = crate::global::global_place(
+            ctx.netlist,
+            ctx.chip,
+            ctx.model,
+            ctx.config,
+            ctx.fixed_positions,
+            inject,
+            stop,
+        );
+        let interrupted = stop.is_some_and(|s| s());
         if stats.partition_retries > 0 {
             ctx.record_degradation(Degradation::PartitionRetried {
                 retries: stats.partition_retries,
@@ -298,7 +291,7 @@ impl Stage for CoarseStage {
                 pricer.refresh(ctx.netlist, ctx.chip, ctx.model, &ctx.objective)?;
             }
         }
-        let (_, interrupted) = coarse_legalize_priced(
+        let (_, interrupted) = coarse_legalize(
             &mut ctx.objective,
             ctx.netlist,
             ctx.chip,
@@ -335,7 +328,7 @@ impl Stage for DetailStage {
     ) -> Result<StageStatus, PlaceError> {
         // Legalization itself never stops early: it is the step that
         // *creates* the legality every graceful stop relies on.
-        ctx.legalize = detail_legalize_observed(
+        ctx.legalize = detail_legalize(
             &mut ctx.objective,
             ctx.netlist,
             ctx.chip,
@@ -352,7 +345,7 @@ impl Stage for DetailStage {
                 pricer.refresh(ctx.netlist, ctx.chip, ctx.model, &ctx.objective)?;
             }
         }
-        let (_, interrupted) = refine_legal_priced(
+        let (_, interrupted) = refine_legal(
             &mut ctx.objective,
             ctx.netlist,
             ctx.chip,
@@ -706,13 +699,20 @@ pub(crate) fn run_pipeline(
             });
         }
         let t = Instant::now();
-        ctx.legalize =
-            detail_legalize(&mut ctx.objective, netlist, &chip, config.detail_row_window);
+        ctx.legalize = detail_legalize(
+            &mut ctx.objective,
+            netlist,
+            &chip,
+            config.detail_row_window,
+            &mut |_| ControlFlow::Continue(()),
+        );
         refine_legal(
             &mut ctx.objective,
             netlist,
             &chip,
             config.legal_refine_passes,
+            None,
+            &mut |_| ControlFlow::Continue(()),
         );
         ctx.legal = true;
         let elapsed = t.elapsed();

@@ -247,10 +247,15 @@ pub enum Degradation {
         /// What happened (sanitized deposits, fallback residual, ...).
         detail: String,
     },
-    /// Bisections exceeded the balance tolerance and were retried with a
-    /// relaxed tolerance. Placement quality may be reduced.
+    /// Region bisections missed their balance tolerance by more than one
+    /// cell's weight share and were re-run with a doubled tolerance (see
+    /// [`GlobalStats::partition_retries`]). Recorded whenever the count
+    /// is nonzero, which is routine on clean runs of regions with little
+    /// whitespace; those regions split less evenly than asked.
+    ///
+    /// [`GlobalStats::partition_retries`]: crate::global::GlobalStats::partition_retries
     PartitionRetried {
-        /// Total relaxed-tolerance retries across global placement.
+        /// Relaxed-tolerance retries summed across global placement.
         retries: usize,
     },
     /// A corrupted checkpoint was renamed to `*.corrupt` and the run

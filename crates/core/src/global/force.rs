@@ -158,6 +158,7 @@ mod tests {
     use crate::detail::{check_legal, detail_legalize};
     use crate::global::global_place;
     use crate::objective::IncrementalObjective;
+    use std::ops::ControlFlow;
     use tvp_bookshelf::synth::{generate, SynthConfig};
 
     fn full_flow_wl(
@@ -170,11 +171,19 @@ mod tests {
         let placement = if force_directed {
             force_directed_place(netlist, chip, model, config)
         } else {
-            global_place(netlist, chip, model, config)
+            global_place(netlist, chip, model, config, &[], false, None).0
         };
         let mut objective = IncrementalObjective::new(netlist, model, placement);
-        coarse_legalize(&mut objective, netlist, chip, config);
-        detail_legalize(&mut objective, netlist, chip, config.detail_row_window);
+        coarse_legalize(&mut objective, netlist, chip, config, None, &mut |_| {
+            ControlFlow::Continue(())
+        });
+        detail_legalize(
+            &mut objective,
+            netlist,
+            chip,
+            config.detail_row_window,
+            &mut |_| ControlFlow::Continue(()),
+        );
         assert_eq!(check_legal(netlist, chip, objective.placement()), None);
         objective.total_wirelength()
     }

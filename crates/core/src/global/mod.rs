@@ -30,7 +30,7 @@ use crate::{Chip, Placement, PlacerConfig};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use tvp_netlist::{CellId, NetId, Netlist};
 use tvp_parallel as parallel;
-use tvp_partition::{bisect_fixed_checked_with_stop, BisectConfig, FixedSide, Hypergraph, StopFn};
+use tvp_partition::{bisect, BisectConfig, FixedSide, Hypergraph, StopFn};
 
 /// How often a bisection may be retried with a relaxed tolerance before
 /// its best-effort (out-of-tolerance) assignment is accepted.
@@ -39,8 +39,15 @@ const MAX_PARTITION_RETRIES: usize = 3;
 /// Robustness record of one global placement.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct GlobalStats {
-    /// Relaxed-tolerance bisection retries across all regions (0 for a
-    /// clean run).
+    /// Region bisections re-run with a doubled balance tolerance, summed
+    /// across all regions. A region retries when its bisection's side-0
+    /// weight fraction misses the target by more than the tolerance plus
+    /// one cell's share of the region weight, at most
+    /// `MAX_PARTITION_RETRIES` times; an injected imbalance fault adds one
+    /// at the root. Clean runs retry routinely — regions with little
+    /// whitespace get a tight tolerance that FM cannot always meet — so a
+    /// nonzero count is normal, not a fault: a clean default run on a
+    /// 100k-cell synthetic design records about 500.
     pub partition_retries: usize,
 }
 
@@ -84,53 +91,13 @@ pub fn choose_cut_direction(
 }
 
 /// Runs global placement. Returns the placement with every movable cell at
-/// the center of its final leaf region.
-pub fn global_place(
-    netlist: &Netlist,
-    chip: &Chip,
-    model: &ObjectiveModel,
-    config: &PlacerConfig,
-) -> Placement {
-    global_place_with_fixed(netlist, chip, model, config, &[])
-}
-
-/// [`global_place`] with pre-seeded positions for fixed cells (pads,
-/// macros). Fixed cells keep these positions; terminal propagation and the
-/// thermal state see them from the first bisection level.
-pub fn global_place_with_fixed(
-    netlist: &Netlist,
-    chip: &Chip,
-    model: &ObjectiveModel,
-    config: &PlacerConfig,
-    fixed_positions: &[(CellId, f64, f64, u16)],
-) -> Placement {
-    global_place_with_fixed_stats(netlist, chip, model, config, fixed_positions, false).0
-}
-
-/// [`global_place_with_fixed`] that also reports robustness statistics.
-/// When `inject_imbalance` is set, the first (root) bisection is treated
-/// as having violated its balance tolerance, exercising the relaxed-retry
-/// path deterministically.
-pub fn global_place_with_fixed_stats(
-    netlist: &Netlist,
-    chip: &Chip,
-    model: &ObjectiveModel,
-    config: &PlacerConfig,
-    fixed_positions: &[(CellId, f64, f64, u16)],
-    inject_imbalance: bool,
-) -> (Placement, GlobalStats) {
-    global_place_with_fixed_stats_stop(
-        netlist,
-        chip,
-        model,
-        config,
-        fixed_positions,
-        inject_imbalance,
-        None,
-    )
-}
-
-/// [`global_place_with_fixed_stats`] with a cooperative stop signal.
+/// the center of its final leaf region, plus the run's robustness record.
+///
+/// `fixed_positions` pre-seeds fixed cells (pads, macros): they keep these
+/// positions, and terminal propagation and the thermal state see them from
+/// the first bisection level. When `inject_imbalance` is set, the first
+/// (root) bisection is treated as having violated its balance tolerance,
+/// exercising the relaxed-retry path deterministically.
 ///
 /// `stop` is handed down into every region bisection, where the FM
 /// kernels poll it between coarsening levels and every ~1k heap pops
@@ -140,10 +107,8 @@ pub fn global_place_with_fixed_stats(
 /// regions are finalized as leaves at their current extents, so the
 /// caller always gets a full (if coarse) placement to legalize —
 /// best-so-far, never a partial write. Pass `None` when no stop
-/// condition is armed: the hot loops then skip the poll entirely and
-/// the result is bitwise identical to the historical entry points.
-#[allow(clippy::too_many_arguments)]
-pub fn global_place_with_fixed_stats_stop(
+/// condition is armed: the hot loops then skip the poll entirely.
+pub fn global_place(
     netlist: &Netlist,
     chip: &Chip,
     model: &ObjectiveModel,
@@ -541,7 +506,7 @@ impl<'a> Splitter<'a> {
                 attempt_config = attempt_config.relaxed();
                 continue;
             }
-            match bisect_fixed_checked_with_stop(&hg, &fixed, &attempt_config, self.stop) {
+            match bisect(&hg, &fixed, &attempt_config, self.stop) {
                 Ok(bisection) => break bisection,
                 Err(err) => {
                     let miss = (err.fraction - err.target_fraction).abs();
@@ -657,7 +622,7 @@ mod tests {
             .with_alpha_temp(alpha_temp);
         let chip = Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let placement = global_place(&netlist, &chip, &model, &config);
+        let placement = global_place(&netlist, &chip, &model, &config, &[], false, None).0;
         let obj = IncrementalObjective::new(&netlist, &model, placement.clone());
         let (wl, ilv) = (obj.total_wirelength(), obj.total_ilv());
         (netlist, chip, placement, wl, ilv)
@@ -759,7 +724,7 @@ mod tests {
         let power_depth = |alpha_temp: f64| -> f64 {
             let config = base_config.clone().with_alpha_temp(alpha_temp);
             let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-            let placement = global_place(&netlist, &chip, &model, &config);
+            let placement = global_place(&netlist, &chip, &model, &config, &[], false, None).0;
             let obj = IncrementalObjective::new(&netlist, &model, placement);
             // Power-weighted mean layer: lower is better for heat.
             let mut num = 0.0;
@@ -800,11 +765,12 @@ mod tests {
             .with_alpha_temp(1.0e-4);
         let chip = Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
-        let serial =
-            tvp_parallel::with_threads(1, || global_place(&netlist, &chip, &model, &config));
+        let serial = tvp_parallel::with_threads(1, || {
+            global_place(&netlist, &chip, &model, &config, &[], false, None).0
+        });
         for threads in [2, 4] {
             let par = tvp_parallel::with_threads(threads, || {
-                global_place(&netlist, &chip, &model, &config)
+                global_place(&netlist, &chip, &model, &config, &[], false, None).0
             });
             assert_eq!(serial, par, "threads = {threads}");
         }

@@ -74,6 +74,7 @@ pub use placement::Placement;
 pub use placer::{
     PlaceOptions, PlacementResult, Placer, RoundTiming, StageTimings, ThermalSnapshot,
 };
+pub use thermal_pricer::ThermalMovePricer;
 pub use tvp_thermal::{LayerSpec, PrecondKind, Preconditioner, ThermalTier};
 pub use validate::{
     repair, validate, Diagnostic, DiagnosticCode, RepairAction, Severity, ValidateOptions,

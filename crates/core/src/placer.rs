@@ -204,28 +204,17 @@ impl Placer {
     /// netlist, a thermal-model failure, or (never expected in practice)
     /// an internal legalization failure.
     pub fn place(&self, netlist: &tvp_netlist::Netlist) -> Result<PlacementResult, PlaceError> {
-        self.place_with_fixed(netlist, &[])
+        self.place_with_options(netlist, &[], PlaceOptions::default())
     }
 
-    /// Like [`place`](Self::place), but seeds positions for fixed cells
-    /// (pads, pre-placed macros) before placement. Fixed cells never move;
-    /// their positions steer terminal propagation and the objective.
-    /// Positions are clamped to the derived chip footprint.
+    /// The full-control entry point: [`place`](Self::place) plus seeded
+    /// positions for fixed cells and per-run [`PlaceOptions`] — observer,
+    /// cancellation, time budget, and checkpoint/resume.
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`place`](Self::place).
-    pub fn place_with_fixed(
-        &self,
-        netlist: &tvp_netlist::Netlist,
-        fixed_positions: &[(tvp_netlist::CellId, f64, f64, u16)],
-    ) -> Result<PlacementResult, PlaceError> {
-        self.place_with_options(netlist, fixed_positions, PlaceOptions::default())
-    }
-
-    /// The full-control entry point: [`place_with_fixed`] plus per-run
-    /// [`PlaceOptions`] — observer, cancellation, time budget, and
-    /// checkpoint/resume.
+    /// `fixed_positions` seeds fixed cells (pads, pre-placed macros)
+    /// before placement. Fixed cells never move; their positions steer
+    /// terminal propagation and the objective. Positions are clamped to
+    /// the derived chip footprint.
     ///
     /// Cancellation and budget exhaustion are *not* errors: the run
     /// returns `Ok` with a legal placement and
@@ -236,8 +225,6 @@ impl Placer {
     /// Same conditions as [`place`](Self::place), plus
     /// [`PlaceError::Checkpoint`] for checkpoint I/O or compatibility
     /// failures.
-    ///
-    /// [`place_with_fixed`]: Self::place_with_fixed
     pub fn place_with_options(
         &self,
         netlist: &tvp_netlist::Netlist,
@@ -382,11 +369,11 @@ mod tests {
         let netlist = b.build().unwrap();
         let placer = Placer::new(PlacerConfig::new(1));
         let left = placer
-            .place_with_fixed(&netlist, &[(pad, 0.0, 0.0, 0)])
+            .place_with_options(&netlist, &[(pad, 0.0, 0.0, 0)], PlaceOptions::default())
             .unwrap();
         let right_x = left.chip.width;
         let right = placer
-            .place_with_fixed(&netlist, &[(pad, right_x, 0.0, 0)])
+            .place_with_options(&netlist, &[(pad, right_x, 0.0, 0)], PlaceOptions::default())
             .unwrap();
         let mean_x = |r: &PlacementResult| -> f64 {
             bus_sinks.iter().map(|&c| r.placement.x(c)).sum::<f64>() / bus_sinks.len() as f64

@@ -39,8 +39,12 @@ use tvp_netlist::Netlist;
 use tvp_thermal::{CompactModel, TemperatureField, ThermalOracle};
 
 /// Per-move thermal pricing against a compact-model frozen field.
+///
+/// Opaque outside this crate: only the placement engine builds and arms
+/// one, so the legalization entry points' `pricer` argument is always
+/// `None` for external callers.
 #[derive(Clone, Debug)]
-pub(crate) struct ThermalMovePricer {
+pub struct ThermalMovePricer {
     model: CompactModel,
     field: Option<TemperatureField>,
     alpha_temp: f64,
@@ -50,14 +54,14 @@ pub(crate) struct ThermalMovePricer {
     width: f64,
     depth: f64,
     /// Candidate prices computed since construction (observability).
-    pub priced: u64,
+    pub(crate) priced: u64,
     /// Committed field updates since construction (observability).
-    pub committed: u64,
+    pub(crate) committed: u64,
 }
 
 impl ThermalMovePricer {
     /// Creates an inactive pricer; [`refresh`](Self::refresh) arms it.
-    pub fn new(model: CompactModel, alpha_temp: f64) -> Self {
+    pub(crate) fn new(model: CompactModel, alpha_temp: f64) -> Self {
         let (width, depth) = model.footprint();
         Self {
             model,
@@ -78,7 +82,7 @@ impl ThermalMovePricer {
     ///
     /// Propagates a power-map/model dimension mismatch (a construction
     /// bug, never expected at runtime).
-    pub fn refresh(
+    pub(crate) fn refresh(
         &mut self,
         netlist: &Netlist,
         chip: &Chip,
@@ -95,14 +99,14 @@ impl ThermalMovePricer {
     }
 
     /// Whether the pricer has a field to price against.
-    pub fn armed(&self) -> bool {
+    pub(crate) fn armed(&self) -> bool {
         self.field.is_some() && self.mean_power > 0.0
     }
 
     /// The thermal delta (meters of wirelength-equivalent) of moving a
     /// cell with power `watts` from `from` to `to` on the frozen field.
     /// Zero until armed.
-    pub fn price(&mut self, watts: f64, from: (f64, f64, u16), to: (f64, f64, u16)) -> f64 {
+    pub(crate) fn price(&mut self, watts: f64, from: (f64, f64, u16), to: (f64, f64, u16)) -> f64 {
         if !self.armed() || watts <= 0.0 {
             return 0.0;
         }
@@ -117,7 +121,7 @@ impl ThermalMovePricer {
 
     /// The thermal delta of swapping two cells' positions (each cell
     /// priced at the other's position).
-    pub fn price_swap(
+    pub(crate) fn price_swap(
         &mut self,
         watts_a: f64,
         pos_a: (f64, f64, u16),
@@ -129,7 +133,7 @@ impl ThermalMovePricer {
 
     /// Commits a move to the frozen field: the cell's power is removed at
     /// `from` and re-superposed at `to`, two kernel accumulations.
-    pub fn commit(&mut self, watts: f64, from: (f64, f64, u16), to: (f64, f64, u16)) {
+    pub(crate) fn commit(&mut self, watts: f64, from: (f64, f64, u16), to: (f64, f64, u16)) {
         let Some(field) = &mut self.field else {
             return;
         };
@@ -144,7 +148,7 @@ impl ThermalMovePricer {
     }
 
     /// Commits a position swap of two cells.
-    pub fn commit_swap(
+    pub(crate) fn commit_swap(
         &mut self,
         watts_a: f64,
         pos_a: (f64, f64, u16),

@@ -164,7 +164,7 @@ impl ValidationReport {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ValidateOptions<'a> {
     /// Seeded positions of fixed cells (same tuples as
-    /// [`Placer::place_with_fixed`](crate::Placer::place_with_fixed)):
+    /// [`Placer::place_with_options`](crate::Placer::place_with_options)):
     /// `(cell, x, y, layer)`, centers in meters. Used for the
     /// overlapping-fixed-cells check.
     pub fixed_positions: &'a [(CellId, f64, f64, u16)],

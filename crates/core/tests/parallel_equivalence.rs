@@ -112,6 +112,7 @@ proptest! {
         seed in 0u64..1000,
         spread in 0.05f64..0.4,
     ) {
+        use std::ops::ControlFlow;
         use tvp_core::coarse::shift::shift_until_spread;
         use tvp_core::coarse::DensityMesh;
         use tvp_core::ShiftStrategy;
@@ -148,7 +149,9 @@ proptest! {
                     1.10,
                     50,
                     ShiftStrategy::WholeRow,
-                );
+                    &mut |_| ControlFlow::Continue(()),
+                )
+                .0;
                 (objective.placement().clone(), iters, objective.total())
             })
         };

@@ -46,9 +46,8 @@ impl BisectConfig {
     }
 
     /// Returns the config with the balance tolerance doubled (capped at
-    /// 0.45): the retry step a caller takes after
-    /// [`bisect_fixed_checked`](crate::bisect_fixed_checked) reports an
-    /// imbalance failure.
+    /// 0.45): the retry step a caller takes after [`bisect`](crate::bisect)
+    /// reports an imbalance failure.
     pub fn relaxed(mut self) -> Self {
         self.tolerance = (self.tolerance * 2.0).min(0.45);
         self

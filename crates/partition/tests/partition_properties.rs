@@ -1,7 +1,7 @@
 //! Property-based tests for the multilevel bisector.
 
 use proptest::prelude::*;
-use tvp_partition::{bisect, bisect_fixed, BisectConfig, FixedSide, Hypergraph};
+use tvp_partition::{bisect, BisectConfig, Bisection, FixedSide, Hypergraph};
 
 /// Random hypergraph: vertex weights plus nets of 2–6 distinct vertices.
 fn hypergraph_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
@@ -29,13 +29,19 @@ fn build(weights: &[f64], nets: &[Vec<u32>]) -> Hypergraph {
     hg
 }
 
+/// Unpinned bisection, accepting an out-of-tolerance best effort.
+fn bisect_free(hg: &Hypergraph, config: &BisectConfig) -> Bisection {
+    let fixed = vec![FixedSide::Free; hg.num_vertices()];
+    bisect(hg, &fixed, config, None).unwrap_or_else(|e| e.bisection)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn bisection_invariants((weights, nets) in hypergraph_strategy()) {
         let hg = build(&weights, &nets);
-        let result = bisect(&hg, &BisectConfig::default());
+        let result = bisect_free(&hg, &BisectConfig::default());
 
         // Every vertex got a side, and sides are 0/1.
         prop_assert_eq!(result.sides.len(), hg.num_vertices());
@@ -74,7 +80,8 @@ proptest! {
             let v = p % n;
             fixed[v] = if i % 2 == 0 { FixedSide::Side0 } else { FixedSide::Side1 };
         }
-        let result = bisect_fixed(&hg, &fixed, &BisectConfig::default());
+        let result = bisect(&hg, &fixed, &BisectConfig::default(), None)
+            .unwrap_or_else(|e| e.bisection);
         for (v, &f) in fixed.iter().enumerate() {
             match f {
                 FixedSide::Side0 => prop_assert_eq!(result.sides[v], 0),
@@ -88,8 +95,8 @@ proptest! {
     fn determinism((weights, nets) in hypergraph_strategy()) {
         let hg = build(&weights, &nets);
         let config = BisectConfig::default().with_seed(7);
-        let a = bisect(&hg, &config);
-        let b = bisect(&hg, &config);
+        let a = bisect_free(&hg, &config);
+        let b = bisect_free(&hg, &config);
         prop_assert_eq!(a, b);
     }
 
@@ -101,9 +108,9 @@ proptest! {
     fn parallel_bisection_bitwise_equals_serial((weights, nets) in hypergraph_strategy()) {
         let hg = build(&weights, &nets);
         let config = BisectConfig::default().with_seed(11).with_starts(4);
-        let serial = tvp_parallel::with_threads(1, || bisect(&hg, &config));
+        let serial = tvp_parallel::with_threads(1, || bisect_free(&hg, &config));
         for threads in [2usize, 4] {
-            let parallel = tvp_parallel::with_threads(threads, || bisect(&hg, &config));
+            let parallel = tvp_parallel::with_threads(threads, || bisect_free(&hg, &config));
             prop_assert_eq!(&serial, &parallel,
                 "bisection diverged between 1 and {} threads", threads);
         }
@@ -112,7 +119,7 @@ proptest! {
     #[test]
     fn cut_never_exceeds_total_net_weight((weights, nets) in hypergraph_strategy()) {
         let hg = build(&weights, &nets);
-        let result = bisect(&hg, &BisectConfig::default());
+        let result = bisect_free(&hg, &BisectConfig::default());
         prop_assert!(result.cut <= nets.len() as f64 + 1e-9);
         prop_assert!(result.cut >= 0.0);
     }

@@ -810,30 +810,18 @@ fn build_design(spec: &JobSpec) -> Result<(tvp_netlist::Netlist, FixedPositions)
     let (Some(nodes_text), Some(nets_text)) = (&spec.nodes, &spec.nets) else {
         return Err("inline design requires both `nodes` and `nets`".to_string());
     };
-    let nodes = tvp_bookshelf::parse_nodes(nodes_text).map_err(|e| format!(".nodes: {e}"))?;
-    let nets = tvp_bookshelf::parse_nets(nets_text).map_err(|e| format!(".nets: {e}"))?;
-    let wts = spec
-        .wts
-        .as_deref()
-        .map(tvp_bookshelf::parse_wts)
-        .transpose()
-        .map_err(|e| format!(".wts: {e}"))?;
-    let pl = spec
-        .pl
-        .as_deref()
-        .map(tvp_bookshelf::parse_pl)
-        .transpose()
-        .map_err(|e| format!(".pl: {e}"))?;
-    let design = tvp_bookshelf::Design::assemble(
+    // Parse errors name the file kind (`nodes file, line 3: ...`), so the
+    // message still says which inline text failed.
+    let design = tvp_bookshelf::Design::assemble_streaming(
         spec.name.clone(),
-        &nodes,
-        &nets,
-        wts.as_ref(),
-        pl.as_ref(),
+        nodes_text,
+        nets_text,
+        spec.wts.as_deref(),
+        spec.pl.as_deref(),
         None,
         tvp_bookshelf::DesignBuilderOptions::default(),
     )
-    .map_err(|e| format!("assemble design: {e}"))?;
+    .map_err(|e| format!("inline design: {e}"))?;
     let fixed = design
         .netlist
         .iter_cells()

@@ -253,3 +253,54 @@ fn malformed_submissions_and_unknown_routes_answer_4xx() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(state_dir);
 }
+
+#[test]
+fn inline_bookshelf_designs_place_or_fail_naming_the_bad_node() {
+    let (mut server, addr, state_dir) = start("inline", |c| c.workers = 1);
+
+    let nodes = r"NumNodes : 3\nNumTerminals : 0\n a 2 2\n b 2 2\n c 2 2\n";
+    let good = job_id(&submit(
+        &addr,
+        &format!(
+            r#"{{"name":"tri","nodes":"{nodes}","nets":"NumNets : 2\nNumPins : 4\nNetDegree : 2 n0\n a O\n b I\nNetDegree : 2 n1\n b O\n c I\n"}}"#
+        ),
+    ));
+    let bad = job_id(&submit(
+        &addr,
+        &format!(
+            r#"{{"name":"ghostly","nodes":"{nodes}","nets":"NumNets : 1\nNumPins : 2\nNetDegree : 2 n0\n a O\n ghost I\n"}}"#
+        ),
+    ));
+
+    // `done` means the engine's final legality check passed.
+    let placed = wait_terminal(&addr, &good);
+    assert_eq!(
+        placed.get("state").unwrap().as_str(),
+        Some("done"),
+        "{}",
+        placed.to_json()
+    );
+    let pl = request(&addr, "GET", &format!("/jobs/{good}/placement"), "").unwrap();
+    assert_eq!(pl.status, 200);
+    let placed_cells: Vec<&str> = pl
+        .body
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .filter(|name| ["a", "b", "c"].contains(name))
+        .collect();
+    assert_eq!(placed_cells, ["a", "b", "c"], "{}", pl.body);
+
+    // A reference to an undeclared node is a permanent setup failure.
+    let failed = wait_terminal(&addr, &bad);
+    assert_eq!(
+        failed.get("state").unwrap().as_str(),
+        Some("dead-letter"),
+        "{}",
+        failed.to_json()
+    );
+    let error = failed.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("`ghost`"), "{error}");
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(state_dir);
+}

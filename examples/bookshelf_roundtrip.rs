@@ -2,8 +2,8 @@
 //! format and read it back.
 //!
 //! Real IBM-PLACE benchmarks drop into the same path: point
-//! [`tvp_bookshelf::parse_aux`] at a downloaded `.aux` and assemble the
-//! files with [`tvp_bookshelf::Design::assemble`].
+//! [`tvp_bookshelf::Design::load`] at a downloaded `.aux`, or hand the
+//! file texts to [`tvp_bookshelf::Design::assemble_streaming`] as below.
 //!
 //! ```sh
 //! cargo run --release --example bookshelf_roundtrip [outdir]
@@ -13,8 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 use tvp_bookshelf::synth::{generate, SynthConfig};
 use tvp_bookshelf::{
-    parse_nets, parse_nodes, parse_pl, parse_wts, write_aux, write_nets, write_nodes, write_pl,
-    write_wts, AuxFile, Design, DesignBuilderOptions,
+    write_aux, write_nets, write_nodes, write_pl, write_wts, AuxFile, Design, DesignBuilderOptions,
 };
 use tvp_core::{Placer, PlacerConfig};
 
@@ -64,11 +63,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("wrote {}", outdir.display());
 
     // Read everything back and verify the round trip.
-    let nodes2 = parse_nodes(&fs::read_to_string(outdir.join("demo.nodes"))?)?;
-    let nets2 = parse_nets(&fs::read_to_string(outdir.join("demo.nets"))?)?;
-    let wts2 = parse_wts(&fs::read_to_string(outdir.join("demo.wts"))?)?;
-    let pl2 = parse_pl(&fs::read_to_string(outdir.join("demo.pl"))?)?;
-    let design2 = Design::assemble("demo", &nodes2, &nets2, Some(&wts2), Some(&pl2), None, opts)?;
+    let read = |ext: &str| fs::read_to_string(outdir.join(format!("demo.{ext}")));
+    let design2 = Design::assemble_streaming(
+        "demo",
+        &read("nodes")?,
+        &read("nets")?,
+        Some(&read("wts")?),
+        Some(&read("pl")?),
+        None,
+        opts,
+    )?;
 
     assert_eq!(design.netlist.num_cells(), design2.netlist.num_cells());
     assert_eq!(design.netlist.num_nets(), design2.netlist.num_nets());

@@ -3,7 +3,9 @@
 //! this.
 
 use tvp_core::detail::check_legal;
-use tvp_core::{validate, DiagnosticCode, PlaceError, Placer, PlacerConfig, ValidateOptions};
+use tvp_core::{
+    validate, DiagnosticCode, PlaceError, PlaceOptions, Placer, PlacerConfig, ValidateOptions,
+};
 use tvp_netlist::{BuildNetlistError, CellId, CellKind, Netlist, NetlistBuilder, PinDirection};
 
 fn place_and_check(netlist: &Netlist, layers: usize) {
@@ -169,7 +171,11 @@ fn all_cells_fixed_never_panics_and_validate_flags_it() {
 
     // The placer itself must end in a typed error or a legal placement —
     // never a panic.
-    match Placer::new(PlacerConfig::new(2)).place_with_fixed(&netlist, &fixed) {
+    match Placer::new(PlacerConfig::new(2)).place_with_options(
+        &netlist,
+        &fixed,
+        PlaceOptions::default(),
+    ) {
         Ok(result) => {
             assert_eq!(check_legal(&netlist, &result.chip, &result.placement), None);
         }

@@ -85,22 +85,19 @@ fn more_partition_starts_do_not_hurt_quality_much() {
 fn bookshelf_design_places_like_a_generated_netlist() {
     // Export a synthetic design to Bookshelf text, reassemble it, and
     // verify the placer accepts the reassembled netlist.
-    use tvp_bookshelf::{
-        parse_nets, parse_nodes, write_nets, write_nodes, Design, DesignBuilderOptions,
-    };
+    use tvp_bookshelf::{write_nets, write_nodes, Design, DesignBuilderOptions};
     let netlist = generate(&SynthConfig::named("bs", 150, 7.5e-10)).unwrap();
     let design = Design::from_netlist("bs", netlist);
-    let (nodes, nets, _, _) = design.to_files(DesignBuilderOptions::default());
-    let nodes = parse_nodes(&write_nodes(&nodes)).unwrap();
-    let nets = parse_nets(&write_nets(&nets)).unwrap();
-    let design2 = Design::assemble(
+    let opts = DesignBuilderOptions::default();
+    let (nodes, nets, _, _) = design.to_files(opts);
+    let design2 = Design::assemble_streaming(
         "bs2",
-        &nodes,
-        &nets,
+        &write_nodes(&nodes),
+        &write_nets(&nets),
         None,
         None,
         None,
-        DesignBuilderOptions::default(),
+        opts,
     )
     .unwrap();
     let result = Placer::new(PlacerConfig::new(2))
