@@ -140,10 +140,71 @@ fn bench_shift_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Thermal-mode move pricing on one fixed probe set (64 cells × 27
+/// candidates each, 4k cells, α_TEMP 1e-4): the frozen snapshot probe
+/// the batched coarse passes price with in phase A, against the live
+/// `delta_move` it is bitwise equal to (phase B and detail refinement
+/// price with that one), so the thermal probe's cost is on record.
+fn bench_frozen_probe_thermal(c: &mut Criterion) {
+    use tvp_core::objective::FrozenScratch;
+    use tvp_netlist::CellId;
+
+    let mut group = c.benchmark_group("frozen_probe_thermal");
+    group.sample_size(20);
+    let cells = 4_000usize;
+    let netlist = netlist_of(&SynthConfig::named("k", cells, cells as f64 * 5.0e-12));
+    let config = PlacerConfig::new(4).with_alpha_temp(1.0e-4);
+    let chip = Chip::from_netlist(&netlist, &config).expect("valid");
+    let model = ObjectiveModel::new(&netlist, &chip, &config).expect("valid");
+    let placement = global_place(&netlist, &chip, &model, &config, &[], false, None).0;
+    let objective = IncrementalObjective::new(&netlist, &model, placement);
+
+    // Per cell, a 3×3 lateral neighborhood of bin-sized steps on three
+    // layers, probed consecutively (as phase A probes one cell's
+    // candidates back to back).
+    let (step_x, step_y) = (chip.width / 16.0, chip.depth / 16.0);
+    let mut probes: Vec<(CellId, f64, f64, u16)> = Vec::with_capacity(64 * 27);
+    for i in 0..64 {
+        let cell = CellId::new(i * (cells / 64));
+        let (x, y, _) = objective.placement().position(cell);
+        for layer in 0..3u16 {
+            for dj in -1..=1 {
+                for di in -1..=1 {
+                    let (cx, cy) = chip.clamp(x + di as f64 * step_x, y + dj as f64 * step_y);
+                    probes.push((cell, cx, cy, layer));
+                }
+            }
+        }
+    }
+
+    group.bench_function("frozen_1728", |b| {
+        b.iter(|| {
+            let frozen = objective.frozen_pricer();
+            let mut scratch = FrozenScratch::default();
+            let mut sum = 0.0;
+            for &(cell, x, y, l) in &probes {
+                sum += frozen.delta_move(&mut scratch, cell, x, y, l);
+            }
+            black_box(sum)
+        })
+    });
+    group.bench_function("live_1728", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for &(cell, x, y, l) in &probes {
+                sum += objective.delta_move(cell, x, y, l);
+            }
+            black_box(sum)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fm_pass,
     bench_coarse_batch_pricing,
-    bench_shift_kernels
+    bench_shift_kernels,
+    bench_frozen_probe_thermal
 );
 criterion_main!(benches);

@@ -20,6 +20,51 @@ fn precond_from_args(name: &str, mg_levels: usize) -> Preconditioner {
     }
 }
 
+/// How many subjects one preflight summary line names.
+const PREFLIGHT_SUBJECTS: usize = 3;
+
+/// Collapses diagnostics to one line per code, in order of first
+/// appearance: a code found once prints its full diagnostic; a repeated
+/// code prints its count and its first few subjects. A synthetic 100k
+/// design otherwise prints thousands of near-identical lines.
+fn preflight_summary<'a>(diags: impl Iterator<Item = &'a tvp_core::Diagnostic>) -> Vec<String> {
+    let mut groups: Vec<Vec<&tvp_core::Diagnostic>> = Vec::new();
+    for diag in diags {
+        match groups.iter_mut().find(|g| g[0].code == diag.code) {
+            Some(group) => group.push(diag),
+            None => groups.push(vec![diag]),
+        }
+    }
+    groups
+        .into_iter()
+        .map(|group| {
+            let first = group[0];
+            if group.len() == 1 {
+                return first.to_string();
+            }
+            let named: Vec<&str> = group
+                .iter()
+                .map(|d| d.subject.as_str())
+                .filter(|s| !s.is_empty())
+                .take(PREFLIGHT_SUBJECTS)
+                .collect();
+            let mut line = format!(
+                "{}[{}]: {} findings",
+                first.severity,
+                first.code,
+                group.len()
+            );
+            if !named.is_empty() {
+                let _ = write!(line, ": {}", named.join(", "));
+                if group.len() > named.len() {
+                    let _ = write!(line, ", and {} more", group.len() - named.len());
+                }
+            }
+            line
+        })
+        .collect()
+}
+
 /// Parses one `--inject-fault` spec (`kind` or `kind:site`). Omitted
 /// sites default to the stage where the fault class naturally lands.
 /// The grammar (shared with the `tvp serve` job API) lives in
@@ -116,8 +161,8 @@ pub fn place(args: &PlaceArgs) -> Result<String, String> {
                 alpha_temp: args.alpha_temp,
             },
         );
-        for diag in report.warnings() {
-            let _ = writeln!(out, "preflight: {diag}");
+        for line in preflight_summary(report.warnings()) {
+            let _ = writeln!(out, "preflight: {line}");
         }
         if !report.is_placeable() {
             let mut msg = String::from("preflight validation failed:\n");
@@ -874,6 +919,58 @@ mod tests {
         // Without the knob the same design validates silently.
         let out = run(&argv(&format!("validate {dir}/z.aux"))).unwrap();
         assert!(!out.contains("thermal-objective-inert"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn place_prints_one_preflight_line_per_warning_code() {
+        use tvp_netlist::{NetlistBuilder, PinDirection};
+        // A connected chain plus five disconnected cells and four
+        // single-pin nets: nine warnings under two codes.
+        let mut b = NetlistBuilder::new();
+        let cells: Vec<_> = (0..8)
+            .map(|i| b.add_cell(format!("c{i}"), 1e-6, 1e-6))
+            .collect();
+        for (i, pair) in cells.windows(2).enumerate() {
+            let n = b.add_net(format!("n{i}"));
+            b.connect(n, pair[0], PinDirection::Output).unwrap();
+            b.connect(n, pair[1], PinDirection::Input).unwrap();
+        }
+        for i in 0..5 {
+            b.add_cell(format!("lonely{i}"), 1e-6, 1e-6);
+        }
+        for (i, &cell) in cells.iter().take(4).enumerate() {
+            let n = b.add_net(format!("stub{i}"));
+            b.connect(n, cell, PinDirection::Input).unwrap();
+        }
+        let dir = tmp("preflight");
+        tvp_bookshelf::Design::from_netlist("w", b.build().unwrap())
+            .save(
+                &dir,
+                tvp_bookshelf::DesignBuilderOptions {
+                    meters_per_unit: 1.0e-6,
+                },
+            )
+            .unwrap();
+
+        let out = run(&argv(&format!("place {dir}/w.aux --layers 2"))).unwrap();
+        let lines: Vec<&str> = out
+            .lines()
+            .filter(|l| l.starts_with("preflight:"))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "preflight: warning[disconnected-cell]: 5 findings: lonely0, lonely1, lonely2, \
+                 and 2 more",
+                "preflight: warning[single-pin-net]: 4 findings: stub0, stub1, stub2, and 1 more",
+            ],
+            "{out}"
+        );
+        assert!(out.contains("quality: WL ="), "warnings never stop the run");
+        // `tvp validate` still lists every finding.
+        let out = run(&argv(&format!("validate {dir}/w.aux --layers 2"))).unwrap();
+        assert_eq!(out.matches("[disconnected-cell]").count(), 5, "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

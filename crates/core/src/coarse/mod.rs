@@ -1,5 +1,13 @@
 //! Coarse legalization (paper §4): cell shifting for spreading plus
 //! objective-driven moves and swaps, interleaved per §6.
+//!
+//! Every step prices the full Eq. 3 objective — WL, α_ILV·ILV and, with
+//! `alpha_temp > 0`, the thermal term — and runs on one engine in both
+//! modes: moves/swaps on the batched propose/commit passes (DESIGN.md
+//! §16) and shifting on the row-parallel plan/commit sweeps (§17), each
+//! proposing against a [`FrozenPricer`](crate::objective::FrozenPricer)
+//! snapshot and committing serially, so results are bitwise identical at
+//! every thread count.
 
 pub mod mesh;
 pub mod moves;

@@ -16,16 +16,18 @@
 //! are only considered when the bin has room (its density stays below the
 //! allowance), so spreading from cell shifting is not undone.
 //!
-//! In WL+ILV mode both passes run as a **batched propose/commit engine**
-//! (DESIGN.md §16): cells are taken in the same shuffled order as the
-//! serial engine, in fixed-size batches. Phase A prices every cell's
-//! candidates in parallel against a [`FrozenPricer`] snapshot of the
-//! objective; phase B walks the winning proposals serially in batch
-//! order, re-prices each against the live objective, and commits only
-//! still-improving actions. Proposals depend only on the snapshot and
-//! the chunking is a pure function of the batch length, so results are
-//! bitwise identical at every thread count. With the thermal term or an
-//! armed thermal pricer the passes fall back to the exact serial loop.
+//! Both passes run as a **batched propose/commit engine** (DESIGN.md
+//! §16): cells are taken in a shuffled order, in fixed-size batches.
+//! Phase A prices every cell's candidates in parallel against a
+//! [`FrozenPricer`] snapshot of the full Eq. 3 objective — the thermal
+//! term included when `alpha_temp > 0`; phase B walks the winning
+//! proposals serially in batch order, re-prices each against the live
+//! objective, and commits only still-improving actions. An armed
+//! compact-tier [`ThermalMovePricer`] adds its frozen-field term in both
+//! phases (read-only sampling in phase A, a live re-price plus a field
+//! commit per applied action in phase B). Proposals depend only on the
+//! snapshot and the chunking is a pure function of the batch length, so
+//! results are bitwise identical at every thread count.
 //!
 //! Swap-partner pricing — the measured cost center of phase A — runs
 //! through a pass-lifetime [`FrozenSharedCache`]: each partner's probe
@@ -35,7 +37,7 @@
 use super::mesh::DensityMesh;
 use crate::objective::{FrozenPricer, FrozenScratch, FrozenSharedCache, IncrementalObjective};
 use crate::thermal_pricer::ThermalMovePricer;
-use crate::{Chip, Placement};
+use crate::Chip;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use tvp_netlist::{CellId, Netlist};
@@ -63,38 +65,26 @@ const PROPOSE_MIN_CHUNK: usize = 32;
 /// When a `pricer` is armed (compact tier + `alpha_temp > 0`), every
 /// candidate's objective delta additionally carries the frozen-field
 /// thermal term and committed actions re-superpose the moved power
-/// (DESIGN.md §14); the pass then runs the serial loop instead of the
-/// batched engine.
+/// (DESIGN.md §14).
 pub fn local_pass(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
     netlist: &Netlist,
     chip: &Chip,
     rng: &mut SmallRng,
-    mut pricer: Option<&mut ThermalMovePricer>,
+    pricer: Option<&mut ThermalMovePricer>,
 ) -> usize {
     let mut order = movable_cells(netlist);
     order.shuffle(rng);
-    if pricer.is_none() && objective.frozen_pricer().is_some() {
-        return batched_pass(objective, mesh, netlist, chip, &order, PassMode::Local);
-    }
-    let mut improved = 0;
-    let mut candidates = Vec::with_capacity(27);
-    for cell in order {
-        local_candidates(mesh, cell, &mut candidates);
-        if try_best_action(
-            objective,
-            mesh,
-            netlist,
-            chip,
-            cell,
-            &candidates,
-            pricer.as_deref_mut(),
-        ) {
-            improved += 1;
-        }
-    }
-    improved
+    batched_pass(
+        objective,
+        mesh,
+        netlist,
+        chip,
+        &order,
+        PassMode::Local,
+        pricer,
+    )
 }
 
 /// Fills `out` with the 3×3×3 bin neighborhood of `cell`'s current bin.
@@ -133,42 +123,19 @@ pub fn global_pass(
     chip: &Chip,
     region_bins: usize,
     rng: &mut SmallRng,
-    mut pricer: Option<&mut ThermalMovePricer>,
+    pricer: Option<&mut ThermalMovePricer>,
 ) -> usize {
     let mut order = movable_cells(netlist);
     order.shuffle(rng);
-    if pricer.is_none() && objective.frozen_pricer().is_some() {
-        return batched_pass(
-            objective,
-            mesh,
-            netlist,
-            chip,
-            &order,
-            PassMode::Global { region_bins },
-        );
-    }
-    let mut improved = 0;
-    let mut opt = OptScratch::default();
-    let mut candidates = Vec::new();
-    for cell in order {
-        let Some((ox, oy)) = optimal_point(objective.placement(), netlist, cell, &mut opt) else {
-            continue;
-        };
-        let (ox, oy) = chip.clamp(ox, oy);
-        global_candidates(mesh, ox, oy, region_bins, &mut candidates);
-        if try_best_action(
-            objective,
-            mesh,
-            netlist,
-            chip,
-            cell,
-            &candidates,
-            pricer.as_deref_mut(),
-        ) {
-            improved += 1;
-        }
-    }
-    improved
+    batched_pass(
+        objective,
+        mesh,
+        netlist,
+        chip,
+        &order,
+        PassMode::Global { region_bins },
+        pricer,
+    )
 }
 
 /// Fills `out` with the global target region around `(ox, oy)`: a fixed
@@ -286,8 +253,8 @@ enum ProposedAction {
     },
 }
 
-/// The batched propose/commit engine (see the module docs). Requires
-/// WL+ILV mode (`objective.frozen_pricer()` must be `Some`).
+/// The batched propose/commit engine (see the module docs).
+#[allow(clippy::too_many_arguments)]
 fn batched_pass(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
@@ -295,6 +262,7 @@ fn batched_pass(
     chip: &Chip,
     order: &[CellId],
     mode: PassMode,
+    mut pricer: Option<&mut ThermalMovePricer>,
 ) -> usize {
     let mut improved = 0;
     let mut partners = PartnerIndex::build(mesh, netlist, order);
@@ -310,18 +278,14 @@ fn batched_pass(
     let mut partner_cache = FrozenSharedCache::new(netlist.num_cells());
     let mut moved_cells: Vec<CellId> = Vec::new();
     for batch in order.chunks(BATCH) {
-        // Phase A: parallel snapshot pricing. The snapshot, the mesh, and
-        // the chunk boundaries are all independent of the thread count, so
-        // the proposal list is too.
-        let Some(frozen) = objective.frozen_pricer() else {
-            // Unreachable: callers route here only when the pricer exists,
-            // and committing moves never disarms it. Degrading to "no more
-            // improvements" keeps the pass total-correct regardless.
-            return improved;
-        };
+        // Phase A: parallel snapshot pricing. The snapshot, the mesh, the
+        // frozen thermal field, and the chunk boundaries are all
+        // independent of the thread count, so the proposal list is too.
+        let frozen = objective.frozen_pricer();
         let mesh_ref: &DensityMesh = mesh;
         let partners_ref: &PartnerIndex = &partners;
         let partner_cache_ref: &FrozenSharedCache = &partner_cache;
+        let field: Option<&ThermalMovePricer> = pricer.as_deref();
         let proposals: Vec<Vec<Proposal>> =
             parallel::map_chunks(batch.len(), PROPOSE_MIN_CHUNK, |range| {
                 let mut cell_scratch = FrozenScratch::default();
@@ -332,10 +296,10 @@ fn batched_pass(
                     match mode {
                         PassMode::Local => local_candidates(mesh_ref, cell, &mut candidates),
                         PassMode::Global { region_bins } => {
-                            // The frozen variant feeds the medians from
-                            // the same probe entries `propose_best` is
-                            // about to price with — one build serves
-                            // both, and no net is ever rescanned.
+                            // The medians come from the same probe
+                            // entries `propose_best` is about to price
+                            // with — one build serves both, and no net
+                            // is ever rescanned.
                             let Some((ox, oy)) =
                                 optimal_point_frozen(&frozen, &mut cell_scratch, cell, &mut opt)
                             else {
@@ -355,6 +319,7 @@ fn batched_pass(
                         &candidates,
                         &mut cell_scratch,
                         partner_cache_ref,
+                        field,
                     ) {
                         out.push(p);
                     }
@@ -362,12 +327,14 @@ fn batched_pass(
                 out
             });
         // Phase B: serial commits in batch order. Every proposal is
-        // re-priced against the live objective (earlier commits in this
-        // batch may have changed its value) and its target's headroom is
-        // re-checked, so only genuinely improving, legal actions land.
+        // re-priced against the live objective and the live thermal
+        // field (earlier commits in this batch may have changed its
+        // value) and its target's headroom is re-checked, so only
+        // genuinely improving, legal actions land.
         dirty_bins.clear();
         moved_cells.clear();
         for p in proposals.iter().flat_map(|v| v.iter()) {
+            let pa = objective.placement().position(p.cell);
             match p.action {
                 ProposedAction::Move { bin, x, y, layer } => {
                     let old_bin = mesh.bin_of(p.cell);
@@ -380,9 +347,17 @@ fn batched_pass(
                     if headroom < 0.0 {
                         continue;
                     }
-                    if objective.delta_move(p.cell, x, y, layer) < -EPS {
+                    let watts = objective.cell_power(p.cell);
+                    let mut delta = objective.delta_move(p.cell, x, y, layer);
+                    if let Some(t) = pricer.as_deref() {
+                        delta += t.price(watts, pa, (x, y, layer));
+                    }
+                    if delta < -EPS {
                         objective.apply_move(p.cell, x, y, layer);
                         mesh.relocate(netlist, p.cell, x, y, layer);
+                        if let Some(t) = pricer.as_deref_mut() {
+                            t.commit(watts, pa, (x, y, layer));
+                        }
                         dirty_bins.push(old_bin);
                         dirty_bins.push(bin);
                         moved_cells.push(p.cell);
@@ -390,12 +365,19 @@ fn batched_pass(
                     }
                 }
                 ProposedAction::Swap { with } => {
-                    if objective.delta_swap(p.cell, with) < -EPS {
-                        let pa = objective.placement().position(p.cell);
-                        let pb = objective.placement().position(with);
+                    let pb = objective.placement().position(with);
+                    let (wa, wb) = (objective.cell_power(p.cell), objective.cell_power(with));
+                    let mut delta = objective.delta_swap(p.cell, with);
+                    if let Some(t) = pricer.as_deref() {
+                        delta += t.price_swap(wa, pa, wb, pb);
+                    }
+                    if delta < -EPS {
                         objective.apply_swap(p.cell, with);
                         mesh.relocate(netlist, p.cell, pb.0, pb.1, pb.2);
                         mesh.relocate(netlist, with, pa.0, pa.1, pa.2);
+                        if let Some(t) = pricer.as_deref_mut() {
+                            t.commit_swap(wa, pa, wb, pb);
+                        }
                         dirty_bins.push(mesh.bin_of(p.cell));
                         dirty_bins.push(mesh.bin_of(with));
                         moved_cells.push(p.cell);
@@ -415,11 +397,13 @@ fn batched_pass(
     improved
 }
 
-/// Phase-A analogue of [`try_best_action`]: prices every candidate
-/// against the snapshot and returns the best improving action, without
-/// executing anything. Swaps are priced as two independent single-move
-/// deltas (exact unless the cells share a net — phase B's exact re-price
-/// settles those).
+/// Phase-A pricing of one cell: prices a move to each candidate bin's
+/// center and a swap with the closest-area resident of each candidate
+/// bin against the snapshot, and returns the best improving action
+/// without executing anything. Swaps are priced as two independent
+/// single-move deltas (exact unless the cells share a net — phase B's
+/// exact re-price settles those). An armed `field` adds its frozen-field
+/// term.
 #[allow(clippy::too_many_arguments)]
 fn propose_best(
     frozen: &FrozenPricer<'_>,
@@ -431,6 +415,7 @@ fn propose_best(
     candidates: &[usize],
     cell_scratch: &mut FrozenScratch,
     partner_cache: &FrozenSharedCache,
+    field: Option<&ThermalMovePricer>,
 ) -> Option<Proposal> {
     let current_bin = mesh.bin_of(cell);
     let cell_area = netlist.cell(cell).area();
@@ -444,7 +429,10 @@ fn propose_best(
         if headroom >= 0.0 {
             let (bx, by, layer) = mesh.bin_center(b);
             let (bx, by) = chip.clamp(bx, by);
-            let delta = frozen.delta_move(cell_scratch, cell, bx, by, layer);
+            let mut delta = frozen.delta_move(cell_scratch, cell, bx, by, layer);
+            if let Some(t) = field {
+                delta += t.price(frozen.cell_power(cell), pa, (bx, by, layer));
+            }
             if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
                 best = Some((
                     delta,
@@ -462,7 +450,10 @@ fn propose_best(
         if let Some(partner) = partners.nearest(b, cell_area) {
             let pb = frozen.placement().position(partner);
             let mut delta = frozen.delta_move(cell_scratch, cell, pb.0, pb.1, pb.2);
-            delta += frozen.delta_move_memo(partner_cache, partner, pa.0, pa.1, pa.2);
+            delta += frozen.delta_move_memo(partner_cache, cell_scratch, partner, pa.0, pa.1, pa.2);
+            if let Some(t) = field {
+                delta += t.price_swap(frozen.cell_power(cell), pa, frozen.cell_power(partner), pb);
+            }
             if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
                 best = Some((delta, ProposedAction::Swap { with: partner }));
             }
@@ -479,8 +470,8 @@ fn movable_cells(netlist: &Netlist) -> Vec<CellId> {
         .collect()
 }
 
-/// Reusable buffers for [`optimal_point`]: the per-net bounding-box
-/// extremes a cell's median interval is computed from.
+/// Reusable buffers for [`optimal_point_frozen`]: the per-net
+/// bounding-box extremes a cell's median interval is computed from.
 #[derive(Default)]
 struct OptScratch {
     xs_lo: Vec<f64>,
@@ -491,58 +482,10 @@ struct OptScratch {
 
 /// The lateral objective-minimum point for a cell: the center of its
 /// optimal region (median interval of its nets' bounding boxes with the
-/// cell excluded). `None` for unconnected cells.
-fn optimal_point(
-    placement: &Placement,
-    netlist: &Netlist,
-    cell: CellId,
-    s: &mut OptScratch,
-) -> Option<(f64, f64)> {
-    s.xs_lo.clear();
-    s.xs_hi.clear();
-    s.ys_lo.clear();
-    s.ys_hi.clear();
-    for &p in netlist.cell_pins(cell) {
-        let e = netlist.pin(p).net();
-        let mut x0 = f64::INFINITY;
-        let mut x1 = f64::NEG_INFINITY;
-        let mut y0 = f64::INFINITY;
-        let mut y1 = f64::NEG_INFINITY;
-        let mut others = 0;
-        for &q in netlist.net_pins(e) {
-            let other = netlist.pin(q).cell();
-            if other == cell {
-                continue;
-            }
-            others += 1;
-            let (x, y, _) = placement.position(other);
-            x0 = x0.min(x + netlist.pin(q).offset_x());
-            x1 = x1.max(x + netlist.pin(q).offset_x());
-            y0 = y0.min(y + netlist.pin(q).offset_y());
-            y1 = y1.max(y + netlist.pin(q).offset_y());
-        }
-        if others > 0 {
-            s.xs_lo.push(x0);
-            s.xs_hi.push(x1);
-            s.ys_lo.push(y0);
-            s.ys_hi.push(y1);
-        }
-    }
-    if s.xs_lo.is_empty() {
-        return None;
-    }
-    Some((
-        (median(&mut s.xs_lo) + median(&mut s.xs_hi)) / 2.0,
-        (median(&mut s.ys_lo) + median(&mut s.ys_hi)) / 2.0,
-    ))
-}
-
-/// [`optimal_point`] against a [`FrozenPricer`] snapshot: the per-net
-/// exclusion rectangles come from the snapshot's probe entries instead
-/// of a fresh scan of every incident net. The rectangle values (and so
-/// the medians) are bitwise identical — see
-/// [`FrozenPricer::exclusion_rects`] — and the entries stay in
-/// `scratch` for the candidate pricing that follows.
+/// cell excluded), or `None` for unconnected cells. The per-net
+/// exclusion rectangles come from the snapshot's probe entries (see
+/// [`FrozenPricer::exclusion_rects`]), which stay in `scratch` for the
+/// candidate pricing that follows.
 fn optimal_point_frozen(
     frozen: &FrozenPricer<'_>,
     scratch: &mut FrozenScratch,
@@ -578,111 +521,6 @@ fn median(values: &mut [f64]) -> f64 {
             a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
         })
         .1
-}
-
-/// Prices a move to each candidate bin's center and a swap with the
-/// closest-area resident of each candidate bin; executes the best
-/// improving action. Returns whether anything was executed.
-///
-/// With an armed pricer, each candidate's delta additionally carries the
-/// frozen-field thermal term, and the executed action commits the moved
-/// power back into the cached field. Cell powers come from the
-/// incremental `cell_power` cache, which is maintained exactly when
-/// `alpha_temp > 0` — the condition under which a pricer exists at all.
-fn try_best_action(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    cell: CellId,
-    candidates: &[usize],
-    mut pricer: Option<&mut ThermalMovePricer>,
-) -> bool {
-    let current_bin = mesh.bin_of(cell);
-    let cell_area = netlist.cell(cell).area();
-    let current_pos = objective.placement().position(cell);
-
-    enum Action {
-        Move { x: f64, y: f64, layer: u16 },
-        Swap { with: CellId },
-    }
-    let mut best: Option<(f64, Action)> = None;
-
-    for &b in candidates {
-        if b != current_bin {
-            // Move into the bin center, if the bin has room.
-            let headroom = mesh.capacity() * MOVE_DENSITY_ALLOWANCE - mesh.bin_area(b) - cell_area;
-            if headroom >= 0.0 {
-                let (bx, by, layer) = mesh.bin_center(b);
-                let (bx, by) = chip.clamp(bx, by);
-                let mut delta = objective.delta_move(cell, bx, by, layer);
-                if let Some(p) = pricer.as_deref_mut() {
-                    delta += p.price(objective.cell_power(cell), current_pos, (bx, by, layer));
-                }
-                if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
-                    best = Some((
-                        delta,
-                        Action::Move {
-                            x: bx,
-                            y: by,
-                            layer,
-                        },
-                    ));
-                }
-            }
-            // Swap with the resident whose area matches best (keeps both
-            // bins' densities stable).
-            let partner = mesh
-                .bin_cells(b)
-                .iter()
-                .copied()
-                .filter(|&other| other != cell && netlist.cell(other).is_movable())
-                .min_by(|&a, &c| {
-                    let da = (netlist.cell(a).area() - cell_area).abs();
-                    let dc = (netlist.cell(c).area() - cell_area).abs();
-                    da.partial_cmp(&dc).unwrap_or(std::cmp::Ordering::Equal)
-                });
-            if let Some(partner) = partner {
-                let mut delta = objective.delta_swap(cell, partner);
-                if let Some(p) = pricer.as_deref_mut() {
-                    delta += p.price_swap(
-                        objective.cell_power(cell),
-                        current_pos,
-                        objective.cell_power(partner),
-                        objective.placement().position(partner),
-                    );
-                }
-                if delta < best.as_ref().map_or(-EPS, |(d, _)| *d) {
-                    best = Some((delta, Action::Swap { with: partner }));
-                }
-            }
-        }
-    }
-
-    match best {
-        Some((_, Action::Move { x, y, layer })) => {
-            let watts = objective.cell_power(cell);
-            objective.apply_move(cell, x, y, layer);
-            mesh.relocate(netlist, cell, x, y, layer);
-            if let Some(p) = pricer {
-                p.commit(watts, current_pos, (x, y, layer));
-            }
-            true
-        }
-        Some((_, Action::Swap { with })) => {
-            let pa = objective.placement().position(cell);
-            let pb = objective.placement().position(with);
-            let (wa, wb) = (objective.cell_power(cell), objective.cell_power(with));
-            objective.apply_swap(cell, with);
-            mesh.relocate(netlist, cell, pb.0, pb.1, pb.2);
-            mesh.relocate(netlist, with, pa.0, pa.1, pa.2);
-            if let Some(p) = pricer {
-                p.commit_swap(wa, pa, wb, pb);
-            }
-            true
-        }
-        None => false,
-    }
 }
 
 #[cfg(test)]
@@ -779,6 +617,78 @@ mod tests {
         }
     }
 
+    /// Thermal mode rides the batched engine too, with or without an
+    /// armed compact-tier pricer: phase A prices the snapshot's thermal
+    /// term and samples the frozen field read-only from every worker,
+    /// phase B re-prices live and commits the field per applied action.
+    /// Placements, improvement counts and the pricer's tallies are
+    /// identical at every thread count.
+    #[test]
+    fn thermal_passes_are_identical_across_thread_counts() {
+        use tvp_thermal::{CompactModel, Preconditioner, ThermalSimulator};
+        let netlist = generate(&SynthConfig::named("t", 200, 1.0e-9)).unwrap();
+        let config = PlacerConfig::new(2).with_alpha_temp(1.0e-4);
+        let chip = Chip::from_netlist(&netlist, &config).unwrap();
+        let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
+        let sim = ThermalSimulator::new(chip.stack, chip.width, chip.depth, 8, 8).unwrap();
+        let (compact, _) = CompactModel::fit(&sim, Preconditioner::default()).unwrap();
+        let placement = scattered(&netlist, &chip, 19);
+        for armed in [false, true] {
+            let run = |threads: usize| {
+                tvp_parallel::with_threads(threads, || {
+                    let mut objective =
+                        IncrementalObjective::new(&netlist, &model, placement.clone());
+                    let mut mesh = DensityMesh::coarse(&chip);
+                    mesh.rebuild(&netlist, objective.placement());
+                    let mut pricer = ThermalMovePricer::new(compact.clone(), config.alpha_temp);
+                    pricer.refresh(&netlist, &chip, &model, &objective).unwrap();
+                    assert!(pricer.armed());
+                    let mut rng = SmallRng::seed_from_u64(3);
+                    let improved = global_pass(
+                        &mut objective,
+                        &mut mesh,
+                        &netlist,
+                        &chip,
+                        5,
+                        &mut rng,
+                        armed.then_some(&mut pricer),
+                    ) + local_pass(
+                        &mut objective,
+                        &mut mesh,
+                        &netlist,
+                        &chip,
+                        &mut rng,
+                        armed.then_some(&mut pricer),
+                    );
+                    let scratch = objective.recompute_total();
+                    assert!((objective.total() - scratch).abs() < 1e-9 * scratch.max(1e-12));
+                    (
+                        objective.placement().clone(),
+                        improved,
+                        pricer.priced(),
+                        pricer.committed,
+                    )
+                })
+            };
+            let serial = run(1);
+            assert!(serial.1 > 0, "random start must improve");
+            if armed {
+                assert!(
+                    serial.2 > 0 && serial.3 > 0,
+                    "armed pricer must price and commit"
+                );
+            } else {
+                assert_eq!((serial.2, serial.3), (0, 0));
+            }
+            for threads in [2usize, 4] {
+                assert!(
+                    run(threads) == serial,
+                    "diverged at threads={threads} (armed {armed})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn optimal_point_is_inside_neighbor_bbox() {
         let (netlist, chip, config) = fixture();
@@ -789,9 +699,15 @@ mod tests {
             .map(CellId::new)
             .find(|&c| netlist.cell_nets(c).next().is_some())
             .unwrap();
+        let frozen = objective.frozen_pricer();
         let mut scratch = OptScratch::default();
-        let (ox, oy) =
-            optimal_point(objective.placement(), &netlist, connected, &mut scratch).unwrap();
+        let (ox, oy) = optimal_point_frozen(
+            &frozen,
+            &mut FrozenScratch::default(),
+            connected,
+            &mut scratch,
+        )
+        .unwrap();
         assert!(ox >= 0.0 && ox <= chip.width);
         assert!(oy >= 0.0 && oy <= chip.depth);
         // Moving the cell to its optimal point must not hurt the lateral
@@ -813,9 +729,9 @@ mod tests {
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         let objective = IncrementalObjective::new(&netlist, &model, Placement::centered(2, &chip));
         let mut scratch = OptScratch::default();
-        assert!(optimal_point(
-            objective.placement(),
-            &netlist,
+        assert!(optimal_point_frozen(
+            &objective.frozen_pricer(),
+            &mut FrozenScratch::default(),
             CellId::new(0),
             &mut scratch
         )

@@ -27,9 +27,10 @@
 //!   (k, i) index order through [`IncrementalObjective::apply_row_moves`].
 //!
 //! The x sweep, y sweep, and z pass each see the previous one's commits
-//! (a fresh snapshot per sweep). With the thermal term active there is no
-//! frozen pricer, and the sweeps fall back to the exact historical serial
-//! row loop.
+//! (a fresh snapshot per sweep). The snapshot prices the full Eq. 3
+//! objective, so with the thermal term active (`alpha_temp > 0`) the
+//! Eq. 17 β choice weighs each remap's thermal change too; only the z
+//! pass stays serial (see [`shift_pass`]).
 
 use super::mesh::DensityMesh;
 use crate::objective::{CellMove, FrozenPricer, FrozenScratch, IncrementalObjective};
@@ -70,19 +71,14 @@ const STALL_REL_IMPROVEMENT: f64 = 1.0e-3;
 const STALL_PATIENCE: usize = 2;
 
 /// Reusable per-row buffers for row planning: the row's bin ids, their
-/// densities, the solved boundaries, and a flattened snapshot of the
-/// row's cells (`offsets[i]..offsets[i+1]` indexes bin `i`'s slice of
-/// `cells`; used by the serial fallback, which relocates mid-row). One
-/// scratch serves every row a worker plans, so a spread at 100k cells
-/// reuses a few buffers per chunk instead of churning millions of
-/// short-lived `Vec`s.
+/// densities, and the solved boundaries. One scratch serves every row a
+/// worker plans, so a spread at 100k cells reuses a few buffers per
+/// chunk instead of churning millions of short-lived `Vec`s.
 #[derive(Default)]
 struct RowScratch {
     bins: Vec<usize>,
     densities: Vec<f64>,
     bounds: Vec<f64>,
-    cells: Vec<tvp_netlist::CellId>,
-    offsets: Vec<usize>,
 }
 
 /// What one shifting pass did — the signal the convergence detector and
@@ -155,9 +151,7 @@ pub fn shift_pass(
 }
 
 /// One directional sweep (all x rows or all y rows): row-parallel
-/// plan/commit when a frozen pricer exists (WL+ILV mode), the historical
-/// serial row loop otherwise. Returns `(cells moved, max relative
-/// boundary delta)`.
+/// plan/commit. Returns `(cells moved, max relative boundary delta)`.
 fn sweep(
     objective: &mut IncrementalObjective<'_>,
     mesh: &mut DensityMesh,
@@ -169,8 +163,7 @@ fn sweep(
 ) -> (usize, f64) {
     let (nx, ny, nz) = mesh.dims();
     // Row r of the sweep is (k = r / rows_per_layer, j or i = r %
-    // rows_per_layer) — the same (k, j) / (k, i) nesting the serial loop
-    // iterates, so phase B's commit order matches it exactly.
+    // rows_per_layer): phase B commits in this (k, j) / (k, i) order.
     let (rows_per_layer, row_len) = match axis {
         Axis::X => (ny, nx),
         Axis::Y => (nx, ny),
@@ -183,80 +176,47 @@ fn sweep(
     // commits — the frozen plan is remap-exact, and only the Eq. 17
     // pricing sees a (deliberately) frozen objective.
     let mesh_ref: &DensityMesh = mesh;
-    let plans: Option<Vec<ChunkPlan>> = objective.frozen_pricer().map(|frozen| {
-        parallel::map_chunks(num_rows, PLAN_MIN_ROWS, |range| {
-            let mut scratch = RowScratch::default();
-            let mut fscratch = FrozenScratch::default();
-            let mut plan = ChunkPlan::default();
-            for r in range {
-                let k = r / rows_per_layer;
-                let fixed = r % rows_per_layer;
-                scratch.bins.clear();
-                match axis {
-                    Axis::X => scratch.bins.extend(mesh_ref.x_row_range(fixed, k)),
-                    Axis::Y => scratch
-                        .bins
-                        .extend((0..row_len).map(|j| mesh_ref.index(fixed, j, k))),
-                }
-                let delta = plan_row(
-                    &frozen,
-                    &mut fscratch,
-                    mesh_ref,
-                    chip,
-                    &mut scratch,
-                    axis,
-                    target_density,
-                    strategy,
-                    &mut plan.moves,
-                );
-                plan.max_boundary_delta = plan.max_boundary_delta.max(delta);
+    let frozen = objective.frozen_pricer();
+    let plans: Vec<ChunkPlan> = parallel::map_chunks(num_rows, PLAN_MIN_ROWS, |range| {
+        let mut scratch = RowScratch::default();
+        let mut fscratch = FrozenScratch::default();
+        let mut plan = ChunkPlan::default();
+        for r in range {
+            let k = r / rows_per_layer;
+            let fixed = r % rows_per_layer;
+            scratch.bins.clear();
+            match axis {
+                Axis::X => scratch.bins.extend(mesh_ref.x_row_range(fixed, k)),
+                Axis::Y => scratch
+                    .bins
+                    .extend((0..row_len).map(|j| mesh_ref.index(fixed, j, k))),
             }
-            plan
-        })
+            let delta = plan_row(
+                &frozen,
+                &mut fscratch,
+                mesh_ref,
+                chip,
+                &mut scratch,
+                axis,
+                target_density,
+                strategy,
+                &mut plan.moves,
+            );
+            plan.max_boundary_delta = plan.max_boundary_delta.max(delta);
+        }
+        plan
     });
 
     // Phase B: commit chunks in chunk order = rows in sweep order.
-    if let Some(plans) = plans {
-        let mut moved = 0;
-        let mut max_delta = 0.0f64;
-        for plan in plans {
-            max_delta = max_delta.max(plan.max_boundary_delta);
-            moved += plan.moves.len();
-            objective.apply_row_moves(&plan.moves);
-            for m in &plan.moves {
-                mesh.relocate(netlist, m.cell, m.x, m.y, m.layer);
-            }
-        }
-        return (moved, max_delta);
-    }
-
-    // Serial fallback (thermal term active): the historical row loop,
-    // pricing every candidate against the live objective.
     let mut moved = 0;
     let mut max_delta = 0.0f64;
-    let mut scratch = RowScratch::default();
-    for r in 0..num_rows {
-        let k = r / rows_per_layer;
-        let fixed = r % rows_per_layer;
-        scratch.bins.clear();
-        match axis {
-            Axis::X => scratch.bins.extend(mesh.x_row_range(fixed, k)),
-            Axis::Y => scratch
-                .bins
-                .extend((0..row_len).map(|j| mesh.index(fixed, j, k))),
+    for plan in plans {
+        max_delta = max_delta.max(plan.max_boundary_delta);
+        moved += plan.moves.len();
+        objective.apply_row_moves(&plan.moves);
+        for m in &plan.moves {
+            mesh.relocate(netlist, m.cell, m.x, m.y, m.layer);
         }
-        let (row_moved, row_delta) = shift_row(
-            objective,
-            mesh,
-            netlist,
-            chip,
-            &mut scratch,
-            axis,
-            target_density,
-            strategy,
-        );
-        moved += row_moved;
-        max_delta = max_delta.max(row_delta);
     }
     (moved, max_delta)
 }
@@ -523,7 +483,7 @@ fn plan_row(
         let scale = (scratch.bounds[idx + 1] - scratch.bounds[idx]) / old_width;
         // The mesh is frozen during phase A, so the bin's resident list
         // is read in place — no mid-row relocation can double-process a
-        // cell here, unlike the serial fallback.
+        // cell.
         for &cell in mesh.bin_cells(scratch.bins[idx]) {
             let (x, y, layer) = frozen.placement().position(cell);
             let Some((tx, ty)) =
@@ -542,64 +502,6 @@ fn plan_row(
         }
     }
     max_delta
-}
-
-/// Serial row shift (the thermal-mode fallback): live-priced remaps
-/// committed cell by cell, exactly the historical loop. Returns
-/// `(cells moved, max relative boundary displacement)`.
-#[allow(clippy::too_many_arguments)]
-fn shift_row(
-    objective: &mut IncrementalObjective<'_>,
-    mesh: &mut DensityMesh,
-    netlist: &Netlist,
-    chip: &Chip,
-    scratch: &mut RowScratch,
-    axis: Axis,
-    target_density: f64,
-    strategy: ShiftStrategy,
-) -> (usize, f64) {
-    let (bin_w, bin_h) = mesh.bin_size();
-    let old_width = match axis {
-        Axis::X => bin_w,
-        Axis::Y => bin_h,
-    };
-    let Some(max_delta) = solve_row_bounds(mesh, scratch, old_width, target_density, strategy)
-    else {
-        return (0, 0.0);
-    };
-
-    // Snapshot bin contents (flattened into the reused buffers) before any
-    // relocation so a cell crossing into a later bin of the same row is
-    // not processed twice.
-    scratch.cells.clear();
-    scratch.offsets.clear();
-    scratch.offsets.push(0);
-    for &b in &scratch.bins {
-        scratch.cells.extend_from_slice(mesh.bin_cells(b));
-        scratch.offsets.push(scratch.cells.len());
-    }
-
-    let mut moved = 0;
-    for idx in 0..scratch.bins.len() {
-        let old_lo = idx as f64 * old_width;
-        let new_lo = scratch.bounds[idx];
-        let scale = (scratch.bounds[idx + 1] - scratch.bounds[idx]) / old_width;
-        for ci in scratch.offsets[idx]..scratch.offsets[idx + 1] {
-            let cell = scratch.cells[ci];
-            let (x, y, layer) = objective.placement().position(cell);
-            let Some((tx, ty)) =
-                remap_cell(chip, axis, (x, y), (old_lo, new_lo, scale), |cx, cy| {
-                    objective.delta_move(cell, cx, cy, layer)
-                })
-            else {
-                continue;
-            };
-            objective.apply_move(cell, tx, ty, layer);
-            mesh.relocate(netlist, cell, tx, ty, layer);
-            moved += 1;
-        }
-    }
-    (moved, max_delta)
 }
 
 /// Runs shifting passes until the mesh's maximum density drops below
@@ -936,11 +838,18 @@ mod tests {
 
     /// The row-parallel plan/commit engine must produce bitwise-identical
     /// placements at every thread count: chunk boundaries depend only on
-    /// the row count, and commits replay in row order.
+    /// the row count, and commits replay in row order. Holds in WL+ILV
+    /// and in thermal mode, where the snapshot prices the thermal term.
     #[test]
     fn shift_passes_are_identical_across_thread_counts() {
+        for alpha_temp in [0.0, 1.0e-4] {
+            shift_passes_are_identical_across_thread_counts_at(alpha_temp);
+        }
+    }
+
+    fn shift_passes_are_identical_across_thread_counts_at(alpha_temp: f64) {
         let netlist = generate(&SynthConfig::named("p", 400, 2.0e-9)).unwrap();
-        let config = PlacerConfig::new(2);
+        let config = PlacerConfig::new(2).with_alpha_temp(alpha_temp);
         let chip = Chip::from_netlist(&netlist, &config).unwrap();
         let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
         use rand::rngs::SmallRng;

@@ -29,6 +29,17 @@
 //! patches the staged values into the caches, so a probe and its commit
 //! return bitwise-identical deltas.
 //!
+//! A single-move probe (`delta_move`) takes a faster route to the same
+//! bits: per incident net it folds the cell's pins into the net's
+//! extremes with the cell excluded, cached per cell until the next
+//! commit. Data-parallel stages price through [`FrozenPricer`], a `Sync`
+//! read-only snapshot of the committed caches that runs that same probe
+//! code, so a snapshot probe is bitwise equal to the live
+//! [`IncrementalObjective::delta_move`] at snapshot time. Both price the
+//! full objective: in thermal mode the staged path and the probes share
+//! one thermal arithmetic (`thermal_tail`: driver power changes at their
+//! current resistance, then the moved cell's `R·P` change).
+//!
 //! Cells connecting to one net through several pins are handled by a
 //! per-cell *distinct-net* CSR shared by pricing and commit: each incident
 //! net is priced exactly once, with all of the cell's pins on it updated
@@ -528,17 +539,18 @@ fn probe_entry_at(
     entry
 }
 
-/// Prices one net of a probe: folds the cell's pins at `pos` into the
-/// entry's exclusion extremes and returns the WL + α_ILV·ILV change.
+/// New geometry of one net of a probe: folds the cell's pins at `pos`
+/// into the entry's exclusion extremes. Bitwise equal to the geometry
+/// the staged path derives from its updated [`NetExtremes`] — the same
+/// extremes of the same pin multiset, subtracted the same way.
 #[inline]
-fn probe_entry_delta(
+fn probe_entry_geometry(
     netlist: &Netlist,
     cell_nets: &DistinctNets,
     idx: usize,
     entry: &ProbeEntry,
     pos: (f64, f64, u16),
-    alpha_ilv: f64,
-) -> f64 {
+) -> NetGeometry {
     let (mut x0, mut x1) = (entry.rx0, entry.rx1);
     let (mut y0, mut y1) = (entry.ry0, entry.ry1);
     let (mut l0, mut l1) = (entry.rl0, entry.rl1);
@@ -563,18 +575,92 @@ fn probe_entry_delta(
             l1 = l1.max(pos.2);
         }
     }
-    let new_wl = (x1 - x0) + (y1 - y0);
-    let new_ilv = (l1 - l0) as f64;
-    (new_wl - entry.old_wl) + alpha_ilv * (new_ilv - entry.old_ilv)
+    NetGeometry {
+        wl_x: x1 - x0,
+        wl_y: y1 - y0,
+        ilv: (l1 - l0) as f64,
+    }
+}
+
+/// Prices one net of a probe: the WL + α_ILV·ILV change of folding the
+/// cell's pins at `pos` into the entry's exclusion extremes.
+#[inline]
+fn probe_entry_delta(
+    netlist: &Netlist,
+    cell_nets: &DistinctNets,
+    idx: usize,
+    entry: &ProbeEntry,
+    pos: (f64, f64, u16),
+    alpha_ilv: f64,
+) -> f64 {
+    let ng = probe_entry_geometry(netlist, cell_nets, idx, entry, pos);
+    (ng.wirelength() - entry.old_wl) + alpha_ilv * (ng.ilv - entry.old_ilv)
+}
+
+/// Records the driver of net `e`, which a move of `cell` reshapes, for
+/// the thermal term: once each, and never the moved cell itself (its
+/// power change is priced together with its resistance change).
+#[inline]
+fn note_driver(netlist: &Netlist, e: NetId, cell: CellId, drivers: &mut Vec<CellId>) {
+    if let Some(d) = netlist.net_driver_cell(e) {
+        if d != cell && !drivers.contains(&d) {
+            drivers.push(d);
+        }
+    }
+}
+
+/// The thermal part of one move's price (Eq. 3's α_TEMP·Σ R·P), folded
+/// onto the geometry part `delta` in a fixed order: each driver `d` of a
+/// reshaped net pays `α·R_d·(P_new − P_old)` at its current resistance,
+/// then the moved cell pays `α·(R_new·P_new − R_old·P_old)`. `before`
+/// gives a cell's `(power, resistance)` ahead of the move and `geometry`
+/// a net's geometry after it. Every new power is recomputed from scratch
+/// — the arithmetic `rebuild` uses, so committed caches stay bitwise
+/// equal to a rebuild — and handed to `new_power`, the drivers' in
+/// order and then the moved cell's. The staged path and the snapshot
+/// probes both price through here.
+#[allow(clippy::too_many_arguments)]
+fn thermal_tail(
+    model: &ObjectiveModel,
+    netlist: &Netlist,
+    cell: CellId,
+    r_new: f64,
+    drivers: &[CellId],
+    before: impl Fn(CellId) -> (f64, f64),
+    geometry: impl Fn(NetId) -> NetGeometry,
+    mut new_power: impl FnMut(f64),
+    mut delta: f64,
+) -> f64 {
+    let alpha_temp = model.alpha_temp;
+    let power_after = |c: CellId| {
+        model.power.cell_power(netlist, c, |e| {
+            let g = geometry(e);
+            (g.wirelength(), g.ilv)
+        })
+    };
+    for &d in drivers {
+        let (p_old, r_d) = before(d);
+        let p_new = power_after(d);
+        delta += alpha_temp * r_d * (p_new - p_old);
+        new_power(p_new);
+    }
+    let (p_old, r_old) = before(cell);
+    let p_new = power_after(cell);
+    delta += alpha_temp * (r_new * p_new - r_old * p_old);
+    new_power(p_new);
+    delta
 }
 
 /// Read-only pricing snapshot over the committed caches, for
-/// data-parallel proposal generation (DESIGN.md §16). It is `Sync` —
+/// data-parallel proposal generation (DESIGN.md §16, §17). It is `Sync` —
 /// unlike [`IncrementalObjective`], whose interior-mutable staging
 /// workspace pins it to one thread — because it borrows only the
-/// immutable caches. Only available in WL+ILV mode (`alpha_temp == 0`):
-/// the thermal term needs staged power bookkeeping a snapshot cannot
-/// provide.
+/// immutable caches: net extremes, the placement, and the per-cell power
+/// and resistance caches. It prices the full Eq. 3 objective, the
+/// thermal term included: with `alpha_temp > 0` every probe adds the
+/// power change of the drivers of the nets the move reshapes and the
+/// moved cell's own `R·P` change, through the same arithmetic the
+/// staged path commits with.
 ///
 /// Deltas are priced against the state at snapshot time. Callers that
 /// interleave commits must re-validate each proposal against the live
@@ -582,21 +668,29 @@ fn probe_entry_delta(
 /// that.
 pub struct FrozenPricer<'b> {
     netlist: &'b Netlist,
+    model: &'b ObjectiveModel,
     placement: &'b Placement,
     nets: &'b [NetExtremes],
+    cell_power: &'b [f64],
+    cell_resistance: &'b [f64],
     cell_nets: &'b DistinctNets,
-    alpha_ilv: f64,
 }
 
 /// Per-worker scratch for [`FrozenPricer`]: the probe entries of the one
-/// cell currently being priced. Caller-owned so each worker thread
-/// prices without shared mutable state. Entries are only valid against
-/// the snapshot that built them — drop the scratch when taking a new
-/// [`FrozenPricer`].
+/// cell currently being priced, plus the thermal term's buffers. Caller-
+/// owned so each worker thread prices without shared mutable state.
+/// Entries are only valid against the snapshot that built them — drop
+/// the scratch when taking a new [`FrozenPricer`].
 #[derive(Default)]
 pub struct FrozenScratch {
     cell: Option<CellId>,
     entries: Vec<ProbeEntry>,
+    /// Thermal term: the probed move's new geometry of each incident
+    /// net, in CSR order.
+    geometry: Vec<(NetId, NetGeometry)>,
+    /// Thermal term: drivers (other than the moved cell) of the nets
+    /// whose geometry the move changes, deduplicated in first-seen order.
+    drivers: Vec<CellId>,
 }
 
 /// Cross-worker probe-entry memo for one [`FrozenPricer`] snapshot:
@@ -612,8 +706,11 @@ pub struct FrozenScratch {
 /// delta is bitwise equal to [`FrozenScratch`] pricing, at any thread
 /// count.
 ///
-/// Entries are only valid against the snapshot that built them — take a
-/// fresh cache with every new [`FrozenPricer`].
+/// Entries hold net geometry only (never power or resistance), so they
+/// stay valid across snapshots until a commit touches one of the cell's
+/// nets — drop those with
+/// [`invalidate_moved`](FrozenSharedCache::invalidate_moved) before
+/// pricing against the next [`FrozenPricer`].
 pub struct FrozenSharedCache {
     slots: Vec<std::sync::OnceLock<Box<[ProbeEntry]>>>,
 }
@@ -654,12 +751,19 @@ impl FrozenPricer<'_> {
         self.placement
     }
 
+    /// The snapshot's cached power of `cell` (Eq. 10), W — the value
+    /// [`IncrementalObjective::cell_power`] had at snapshot time.
+    #[inline]
+    pub fn cell_power(&self, cell: CellId) -> f64 {
+        self.cell_power[cell.index()]
+    }
+
     /// Objective change if `cell` moved to `(x, y, layer)`, priced
     /// against the snapshot. Bitwise equal to what
     /// [`IncrementalObjective::delta_move`] returned at snapshot time —
-    /// both fold the same probe entries in the same CSR order. Repeated
-    /// probes of one cell reuse its entries; a new cell rebuilds the
-    /// scratch once.
+    /// both price the same probe entries through the same code.
+    /// Repeated probes of one cell reuse its entries; a new cell
+    /// rebuilds the scratch once.
     pub fn delta_move(
         &self,
         scratch: &mut FrozenScratch,
@@ -669,18 +773,13 @@ impl FrozenPricer<'_> {
         layer: u16,
     ) -> f64 {
         self.ensure_entries(scratch, cell);
-        let mut delta = 0.0;
-        for (entry, idx) in scratch.entries.iter().zip(self.cell_nets.range(cell)) {
-            delta += probe_entry_delta(
-                self.netlist,
-                self.cell_nets,
-                idx,
-                entry,
-                (x, y, layer),
-                self.alpha_ilv,
-            );
-        }
-        delta
+        let FrozenScratch {
+            entries,
+            geometry,
+            drivers,
+            ..
+        } = scratch;
+        self.price(entries, geometry, drivers, cell, (x, y, layer))
     }
 
     /// Calls `push` with one `(x0, x1, y0, y1)` exclusion rectangle per
@@ -716,10 +815,12 @@ impl FrozenPricer<'_> {
     /// into the cache's slot; every later probe of the same cell, at
     /// any position, reuses them. Bitwise identical to the
     /// scratch-based path (the same entries fold in the same CSR
-    /// order).
+    /// order). `scratch` lends only the thermal term's buffers; its
+    /// cached entries for another cell are left alone.
     pub fn delta_move_memo(
         &self,
         cache: &FrozenSharedCache,
+        scratch: &mut FrozenScratch,
         cell: CellId,
         x: f64,
         y: f64,
@@ -740,18 +841,68 @@ impl FrozenPricer<'_> {
                 })
                 .collect()
         });
+        self.price(
+            entries,
+            &mut scratch.geometry,
+            &mut scratch.drivers,
+            cell,
+            (x, y, layer),
+        )
+    }
+
+    /// Prices one move from the cell's probe entries (`entries[i]` for
+    /// the cell's `i`-th distinct net): the WL + α_ILV·ILV fold, then —
+    /// with the thermal term active — the [`thermal_tail`] of the nets
+    /// the move reshapes, against the snapshot's powers and
+    /// resistances. The live probe of [`IncrementalObjective`] prices
+    /// through here too.
+    fn price(
+        &self,
+        entries: &[ProbeEntry],
+        geometry: &mut Vec<(NetId, NetGeometry)>,
+        drivers: &mut Vec<CellId>,
+        cell: CellId,
+        pos: (f64, f64, u16),
+    ) -> f64 {
+        let alpha_ilv = self.model.alpha_ilv;
+        let alpha_temp = self.model.alpha_temp;
         let mut delta = 0.0;
-        for (entry, idx) in entries.iter().zip(self.cell_nets.range(cell)) {
-            delta += probe_entry_delta(
-                self.netlist,
-                self.cell_nets,
-                idx,
-                entry,
-                (x, y, layer),
-                self.alpha_ilv,
-            );
+        if alpha_temp == 0.0 {
+            for (entry, idx) in entries.iter().zip(self.cell_nets.range(cell)) {
+                delta +=
+                    probe_entry_delta(self.netlist, self.cell_nets, idx, entry, pos, alpha_ilv);
+            }
+            return delta;
         }
-        delta
+
+        geometry.clear();
+        drivers.clear();
+        for (entry, idx) in entries.iter().zip(self.cell_nets.range(cell)) {
+            let (e, _, _) = self.cell_nets.entries[idx];
+            let ng = probe_entry_geometry(self.netlist, self.cell_nets, idx, entry, pos);
+            delta += (ng.wirelength() - entry.old_wl) + alpha_ilv * (ng.ilv - entry.old_ilv);
+            geometry.push((e, ng));
+            if ng != self.nets[e.index()].geometry() {
+                note_driver(self.netlist, e, cell, drivers);
+            }
+        }
+        let geometry: &[(NetId, NetGeometry)] = geometry;
+        thermal_tail(
+            self.model,
+            self.netlist,
+            cell,
+            resistance_at(self.model, self.netlist, cell, pos),
+            drivers,
+            |c| (self.cell_power[c.index()], self.cell_resistance[c.index()]),
+            |e| {
+                geometry
+                    .iter()
+                    .find(|&&(n, _)| n == e)
+                    .map_or_else(|| self.nets[e.index()].geometry(), |&(_, g)| g)
+            },
+            |_| {},
+            delta,
+        )
     }
 
     /// Builds (or reuses) the scratch's probe entries for `cell`.
@@ -799,6 +950,10 @@ struct DeltaWorkspace {
     deltas: Vec<f64>,
     /// Scratch: drivers touched by the move being priced (deduplicated).
     drivers: Vec<CellId>,
+    /// Scratch: the new powers [`thermal_tail`] computes, drivers first.
+    new_power: Vec<f64>,
+    /// Scratch: a probe's new geometry per incident net (thermal term).
+    probe_geometry: Vec<(NetId, NetGeometry)>,
     /// Probe cache: one [`ProbeEntry`] per distinct-net CSR entry, valid
     /// for cell `c` while `cell_probe_version[c] == probe_version`.
     /// Commits bump `probe_version`, invalidating everything at once.
@@ -972,11 +1127,12 @@ impl<'a> IncrementalObjective<'a> {
         self.pricing.get_mut().invalidate_probes();
     }
 
-    /// The objective from the current caches. One thread: the historical
-    /// single-accumulator loop, bitwise identical to the serial engine.
-    /// Parallel: chunk partials folded in chunk order — identical across
-    /// all thread counts ≥ 2, and within ~1e-9 relative of the serial
-    /// value (reassociation only).
+    /// The objective from the current caches: the net sum plus, with the
+    /// thermal term active, the cell sum added once. One thread: each
+    /// sum is a single-accumulator loop. Parallel: chunk partials folded
+    /// in chunk order — identical across all thread counts ≥ 2, and
+    /// within ~1e-9 relative of the serial value (reassociation only;
+    /// bitwise equal to it while each sum fits in one chunk).
     fn compute_total(&self) -> f64 {
         if parallel::threads() == 1 {
             let mut total = 0.0;
@@ -985,9 +1141,11 @@ impl<'a> IncrementalObjective<'a> {
                 total += g.wirelength() + self.model.alpha_ilv * g.ilv;
             }
             if self.model.alpha_temp > 0.0 {
+                let mut thermal = 0.0;
                 for c in 0..self.netlist.num_cells() {
-                    total += self.model.alpha_temp * self.cell_resistance[c] * self.cell_power[c];
+                    thermal += self.model.alpha_temp * self.cell_resistance[c] * self.cell_power[c];
                 }
+                total += thermal;
             }
             return total;
         }
@@ -1080,16 +1238,6 @@ impl<'a> IncrementalObjective<'a> {
         }
     }
 
-    /// From-scratch cell power against staged-or-committed geometry — the
-    /// exact arithmetic `rebuild` uses, so committed power caches stay
-    /// bitwise equal to a rebuild.
-    fn staged_cell_power(&self, ws: &DeltaWorkspace, cell: CellId) -> f64 {
-        self.model.power.cell_power(self.netlist, cell, |e| {
-            let g = self.staged_geometry(ws, e);
-            (g.wirelength(), g.ilv)
-        })
-    }
-
     /// Rescan of net `e` with all staged moves plus the candidate applied.
     fn rescan(
         &self,
@@ -1159,65 +1307,58 @@ impl<'a> IncrementalObjective<'a> {
                 ws.net_entries.push((e, new_ext));
             }
             if alpha_temp > 0.0 && ng != og {
-                if let Some(d) = self.netlist.net_driver_cell(e) {
-                    if d != cell && !ws.drivers.contains(&d) {
-                        ws.drivers.push(d);
-                    }
-                }
+                note_driver(self.netlist, e, cell, &mut ws.drivers);
             }
         }
 
         if alpha_temp > 0.0 {
-            // Drivers of changed nets: their power changes at a fixed
-            // resistance. Recomputed from scratch against the staged
-            // geometry so the committed cache matches a rebuild bitwise.
-            for i in 0..ws.drivers.len() {
-                let d = ws.drivers[i];
-                let di = d.index();
-                let p_old = if ws.power_stamp[di] == ws.epoch {
-                    ws.power_val[di]
-                } else {
-                    self.cell_power[di]
-                };
-                let p_new = self.staged_cell_power(ws, d);
-                let r_d = if ws.res_stamp[di] == ws.epoch {
-                    ws.res_val[di]
-                } else {
-                    self.cell_resistance[di]
-                };
-                delta += alpha_temp * r_d * (p_new - p_old);
-                if ws.power_stamp[di] != ws.epoch {
-                    ws.power_stamp[di] = ws.epoch;
-                    ws.power_cells.push(d);
-                }
-                ws.power_val[di] = p_new;
-            }
-            // The moved cell: both its resistance and (if it drives any of
-            // its own nets) its power change.
-            let ci = cell.index();
-            let p_old = if ws.power_stamp[ci] == ws.epoch {
-                ws.power_val[ci]
-            } else {
-                self.cell_power[ci]
-            };
-            let p_new = self.staged_cell_power(ws, cell);
-            let r_old = if ws.res_stamp[ci] == ws.epoch {
-                ws.res_val[ci]
-            } else {
-                self.cell_resistance[ci]
-            };
+            // Price against the staged state, then stage the new powers
+            // and the moved cell's new resistance.
             let r_new = self.resistance_at(cell, pos);
-            delta += alpha_temp * (r_new * p_new - r_old * p_old);
-            if ws.power_stamp[ci] != ws.epoch {
-                ws.power_stamp[ci] = ws.epoch;
-                ws.power_cells.push(cell);
+            let mut new_power = std::mem::take(&mut ws.new_power);
+            new_power.clear();
+            delta = {
+                let ws: &DeltaWorkspace = ws;
+                thermal_tail(
+                    self.model,
+                    self.netlist,
+                    cell,
+                    r_new,
+                    &ws.drivers,
+                    |c| {
+                        let ci = c.index();
+                        let p = if ws.power_stamp[ci] == ws.epoch {
+                            ws.power_val[ci]
+                        } else {
+                            self.cell_power[ci]
+                        };
+                        let r = if ws.res_stamp[ci] == ws.epoch {
+                            ws.res_val[ci]
+                        } else {
+                            self.cell_resistance[ci]
+                        };
+                        (p, r)
+                    },
+                    |e| self.staged_geometry(ws, e),
+                    |p| new_power.push(p),
+                    delta,
+                )
+            };
+            for (&c, &p) in ws.drivers.iter().chain([&cell]).zip(&new_power) {
+                let ci = c.index();
+                if ws.power_stamp[ci] != ws.epoch {
+                    ws.power_stamp[ci] = ws.epoch;
+                    ws.power_cells.push(c);
+                }
+                ws.power_val[ci] = p;
             }
-            ws.power_val[ci] = p_new;
+            let ci = cell.index();
             if ws.res_stamp[ci] != ws.epoch {
                 ws.res_stamp[ci] = ws.epoch;
                 ws.res_cells.push(cell);
             }
             ws.res_val[ci] = r_new;
+            ws.new_power = new_power;
         }
 
         ws.moves.push((cell, pos));
@@ -1263,67 +1404,54 @@ impl<'a> IncrementalObjective<'a> {
         ws.cell_probe_version[cell.index()] = ws.probe_version;
     }
 
-    /// Fast probe against the cached exclusion extremes: per incident net
-    /// six branchless min/max folds, never a rescan. Bitwise equal to the
-    /// staged pricing path — both subtract the same committed geometry
-    /// from extremes of the same pin multiset, in the same CSR order.
-    fn probe_cached(&self, ws: &DeltaWorkspace, cell: CellId, pos: (f64, f64, u16)) -> f64 {
-        let alpha_ilv = self.model.alpha_ilv;
-        let mut delta = 0.0;
-        for idx in self.cell_nets.range(cell) {
-            delta += probe_entry_delta(
-                self.netlist,
-                &self.cell_nets,
-                idx,
-                &ws.probe_entries[idx],
-                pos,
-                alpha_ilv,
-            );
-        }
-        delta
-    }
-
-    /// True when the probe fast path prices exactly like the staged path:
-    /// WL-only mode (the thermal term needs staged power bookkeeping).
+    /// True in WL-only mode, where a single move commits in place and
+    /// moves of cells on disjoint nets price independently. The thermal
+    /// term needs staged power bookkeeping for both: a commit updates
+    /// power and resistance caches, and two such moves can share a
+    /// driver whose power both change.
     #[inline]
     fn fast_probes(&self) -> bool {
         self.model.alpha_temp == 0.0
     }
 
-    /// A [`FrozenPricer`] snapshot of the committed state, or `None`
-    /// when the thermal term is active (pricing then needs staged power
-    /// bookkeeping a read-only snapshot cannot provide).
-    pub fn frozen_pricer(&self) -> Option<FrozenPricer<'_>> {
-        self.fast_probes().then(|| FrozenPricer {
+    /// A [`FrozenPricer`] snapshot of the committed state, pricing the
+    /// full objective (thermal term included when `alpha_temp > 0`).
+    pub fn frozen_pricer(&self) -> FrozenPricer<'_> {
+        FrozenPricer {
             netlist: self.netlist,
+            model: self.model,
             placement: &self.placement,
             nets: &self.nets,
+            cell_power: &self.cell_power,
+            cell_resistance: &self.cell_resistance,
             cell_nets: &self.cell_nets,
-            alpha_ilv: self.model.alpha_ilv,
-        })
-    }
-
-    /// Fast-path single-move probe; builds the cell's cache on miss.
-    fn delta_move_cached(&self, cell: CellId, pos: (f64, f64, u16)) -> f64 {
-        let mut ws = self.pricing.borrow_mut();
-        let ws = &mut *ws;
-        if ws.cell_probe_version[cell.index()] != ws.probe_version {
-            self.build_probe_cache(ws, cell);
         }
-        self.probe_cached(ws, cell, pos)
     }
 
     /// Objective change if `cell` moved to `(x, y, layer)`, without
     /// committing. Read-only and allocation-free. Negative is an
     /// improvement.
+    ///
+    /// Prices against the cell's cached exclusion extremes (built on
+    /// miss, kept until the next commit): per incident net six
+    /// branchless min/max folds, never a rescan, through the same code
+    /// as [`FrozenPricer::delta_move`]. Bitwise equal to the staged path
+    /// a commit takes — both derive each net's new geometry from the
+    /// same pin multiset and subtract the same committed geometry, in
+    /// the same CSR order, and share one thermal arithmetic.
     pub fn delta_move(&self, cell: CellId, x: f64, y: f64, layer: u16) -> f64 {
-        if self.fast_probes() {
-            return self.delta_move_cached(cell, (x, y, layer));
-        }
         let mut ws = self.pricing.borrow_mut();
         let ws = &mut *ws;
-        ws.begin();
-        self.price_move(ws, cell, (x, y, layer))
+        if ws.cell_probe_version[cell.index()] != ws.probe_version {
+            self.build_probe_cache(ws, cell);
+        }
+        self.frozen_pricer().price(
+            &ws.probe_entries[self.cell_nets.range(cell)],
+            &mut ws.probe_geometry,
+            &mut ws.drivers,
+            cell,
+            (x, y, layer),
+        )
     }
 
     /// Objective change for executing `moves` in order (later moves are
@@ -1332,13 +1460,13 @@ impl<'a> IncrementalObjective<'a> {
     /// [`apply_moves`](Self::apply_moves) would add them to `total`.
     pub fn delta_moves(&self, moves: &[CellMove]) -> f64 {
         match moves {
-            [m] if self.fast_probes() => self.delta_move_cached(m.cell, (m.x, m.y, m.layer)),
+            [m] => self.delta_move(m.cell, m.x, m.y, m.layer),
             [a, b] if self.fast_probes() && self.nets_disjoint(a.cell, b.cell) => {
                 // Disjoint cells price independently: the staged path
                 // would see no cross-talk between the two legs, so two
                 // cached probes summed in order are bitwise identical.
-                let mut sum = self.delta_move_cached(a.cell, (a.x, a.y, a.layer));
-                sum += self.delta_move_cached(b.cell, (b.x, b.y, b.layer));
+                let mut sum = self.delta_move(a.cell, a.x, a.y, a.layer);
+                sum += self.delta_move(b.cell, b.x, b.y, b.layer);
                 sum
             }
             _ => {
@@ -2037,5 +2165,107 @@ mod tests {
         let mut fresh = obj.clone();
         fresh.rebuild();
         assert_eq!(obj.nets, fresh.nets);
+    }
+
+    /// A random builder design that synth cannot produce: every pin sits
+    /// at a nonzero offset from its cell center, and cells regularly
+    /// hold several pins on one net (the first pin of every net drives
+    /// it, so the thermal term sees drivers whose power moves).
+    fn offset_design(seed: u64, cells: usize, nets: usize) -> Netlist {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new().allow_shared_net_pins();
+        let ids: Vec<CellId> = (0..cells)
+            .map(|i| b.add_cell(format!("c{i}"), rng.random_range(0.5e-6..2.0e-6), 1.0e-6))
+            .collect();
+        for n in 0..nets {
+            let net = b.add_net(format!("n{n}"));
+            let degree = rng.random_range(2..6usize);
+            let mut pins = Vec::with_capacity(degree + 1);
+            for _ in 0..degree {
+                pins.push(ids[rng.random_range(0..cells)]);
+            }
+            if rng.random_bool(0.3) {
+                pins.push(pins[rng.random_range(0..degree)]); // a second pin, same net
+            }
+            for (k, &cell) in pins.iter().enumerate() {
+                let direction = if k == 0 {
+                    PinDirection::Output
+                } else {
+                    PinDirection::Input
+                };
+                let (ox, oy) = (
+                    rng.random_range(-4.0e-7..4.0e-7),
+                    rng.random_range(-4.0e-7..4.0e-7),
+                );
+                b.connect_with_offset(net, cell, direction, ox, oy).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// With the thermal term on, the live probe `delta_move` is
+        /// bitwise equal to the staged path a commit takes, and the
+        /// frozen snapshot probe — scratch and memo paths alike — to the
+        /// live probe, on designs with pin offsets and shared-net pins.
+        /// A memo cache kept across commits and patched by
+        /// `invalidate_moved` must keep pricing like a fresh build.
+        #[test]
+        fn frozen_thermal_probe_is_bitwise_the_live_probe(
+            seed in 0u64..10_000,
+            cells in 12usize..40,
+            alpha_exp in 3i32..8,
+        ) {
+            let netlist = offset_design(seed, cells, cells + cells / 2);
+            let config = PlacerConfig::new(4)
+                .with_alpha_ilv(1.0e-5)
+                .with_alpha_temp(10f64.powi(-alpha_exp));
+            let chip = Chip::from_netlist(&netlist, &config).unwrap();
+            let model = ObjectiveModel::new(&netlist, &chip, &config).unwrap();
+            let mut obj =
+                IncrementalObjective::new(&netlist, &model, random_spread(&netlist, &chip, seed));
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x7E57);
+            let probe = |rng: &mut SmallRng| {
+                (
+                    CellId::new(rng.random_range(0..netlist.num_cells())),
+                    rng.random_range(0.0..chip.width),
+                    rng.random_range(0.0..chip.depth),
+                    rng.random_range(0..chip.num_layers as u16),
+                )
+            };
+            let mut cache = FrozenSharedCache::new(netlist.num_cells());
+            for _round in 0..4 {
+                {
+                    let frozen = obj.frozen_pricer();
+                    let mut scratch = FrozenScratch::default();
+                    let mut memo_scratch = FrozenScratch::default();
+                    let fresh = FrozenSharedCache::new(netlist.num_cells());
+                    for _ in 0..40 {
+                        let (c, x, y, l) = probe(&mut rng);
+                        let live = obj.delta_move(c, x, y, l);
+                        let staged = obj.clone().apply_move(c, x, y, l);
+                        proptest::prop_assert_eq!(live.to_bits(), staged.to_bits());
+                        let snap = frozen.delta_move(&mut scratch, c, x, y, l);
+                        let kept = frozen.delta_move_memo(&cache, &mut memo_scratch, c, x, y, l);
+                        let built = frozen.delta_move_memo(&fresh, &mut memo_scratch, c, x, y, l);
+                        proptest::prop_assert_eq!(live.to_bits(), snap.to_bits());
+                        proptest::prop_assert_eq!(live.to_bits(), kept.to_bits());
+                        proptest::prop_assert_eq!(live.to_bits(), built.to_bits());
+                    }
+                }
+                // Commit a few moves; only their neighborhoods' memo
+                // entries are dropped, the rest carry into the next
+                // snapshot.
+                let mut moved = Vec::new();
+                for _ in 0..3 {
+                    let (c, x, y, l) = probe(&mut rng);
+                    obj.apply_move(c, x, y, l);
+                    moved.push(c);
+                }
+                cache.invalidate_moved(&netlist, &moved);
+            }
+        }
     }
 }

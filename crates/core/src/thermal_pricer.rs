@@ -2,11 +2,18 @@
 //!
 //! When a stage's thermal tier is [`ThermalTier::Compact`] and
 //! `alpha_temp > 0`, the legalization move loops add a thermal term to
-//! every candidate's objective delta. The term is priced against a
-//! *frozen* temperature field: the compact model evaluates the field once
-//! per stage (microseconds), each candidate costs two O(1) field probes,
-//! and every committed move re-superposes the moved cell's power so the
+//! every candidate's objective delta, on top of the Eq. 3 thermal term
+//! the objective itself prices. The term is priced against a *frozen*
+//! temperature field: the compact model evaluates the field once per
+//! stage (microseconds), each candidate costs two O(1) field probes, and
+//! every committed move re-superposes the moved cell's power so the
 //! cached field tracks the placement without re-evaluating.
+//!
+//! Pricing only samples the field (`&self`; the observability tally is
+//! atomic), so the coarse batched passes share one pricer across their
+//! phase-A workers — each pricing with the snapshot's cell powers
+//! ([`FrozenPricer::cell_power`]) — and re-price plus commit against the
+//! live field in their serial phase B (DESIGN.md §16).
 //!
 //! The price of moving cell `j` from position `s` to position `d` is
 //!
@@ -31,10 +38,12 @@
 //! commit — is current.
 //!
 //! [`ThermalTier::Compact`]: tvp_thermal::ThermalTier::Compact
+//! [`FrozenPricer::cell_power`]: crate::objective::FrozenPricer::cell_power
 
 use crate::metrics::build_power_map;
 use crate::objective::{IncrementalObjective, ObjectiveModel};
 use crate::{Chip, PlaceError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tvp_netlist::Netlist;
 use tvp_thermal::{CompactModel, TemperatureField, ThermalOracle};
 
@@ -43,7 +52,7 @@ use tvp_thermal::{CompactModel, TemperatureField, ThermalOracle};
 /// Opaque outside this crate: only the placement engine builds and arms
 /// one, so the legalization entry points' `pricer` argument is always
 /// `None` for external callers.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ThermalMovePricer {
     model: CompactModel,
     field: Option<TemperatureField>,
@@ -54,9 +63,22 @@ pub struct ThermalMovePricer {
     width: f64,
     depth: f64,
     /// Candidate prices computed since construction (observability).
-    pub(crate) priced: u64,
+    /// Atomic so phase-A workers can price through a shared reference;
+    /// a sum, so the count is the same at every thread count.
+    priced: AtomicU64,
     /// Committed field updates since construction (observability).
     pub(crate) committed: u64,
+}
+
+impl Clone for ThermalMovePricer {
+    fn clone(&self) -> Self {
+        Self {
+            model: self.model.clone(),
+            field: self.field.clone(),
+            priced: AtomicU64::new(self.priced.load(Ordering::Relaxed)),
+            ..*self
+        }
+    }
 }
 
 impl ThermalMovePricer {
@@ -70,7 +92,7 @@ impl ThermalMovePricer {
             mean_power: 0.0,
             width,
             depth,
-            priced: 0,
+            priced: AtomicU64::new(0),
             committed: 0,
         }
     }
@@ -98,6 +120,12 @@ impl ThermalMovePricer {
         Ok(())
     }
 
+    /// Candidate prices computed since construction (observability).
+    #[cfg(test)]
+    pub(crate) fn priced(&self) -> u64 {
+        self.priced.load(Ordering::Relaxed)
+    }
+
     /// Whether the pricer has a field to price against.
     pub(crate) fn armed(&self) -> bool {
         self.field.is_some() && self.mean_power > 0.0
@@ -105,15 +133,16 @@ impl ThermalMovePricer {
 
     /// The thermal delta (meters of wirelength-equivalent) of moving a
     /// cell with power `watts` from `from` to `to` on the frozen field.
-    /// Zero until armed.
-    pub(crate) fn price(&mut self, watts: f64, from: (f64, f64, u16), to: (f64, f64, u16)) -> f64 {
+    /// Zero until armed. Only samples the field, so phase-A workers
+    /// share one pricer.
+    pub(crate) fn price(&self, watts: f64, from: (f64, f64, u16), to: (f64, f64, u16)) -> f64 {
         if !self.armed() || watts <= 0.0 {
             return 0.0;
         }
         let Some(field) = self.field.as_ref() else {
             return 0.0;
         };
-        self.priced += 1;
+        self.priced.fetch_add(1, Ordering::Relaxed);
         let t_from = field.sample(from.0, from.1, from.2 as usize, self.width, self.depth);
         let t_to = field.sample(to.0, to.1, to.2 as usize, self.width, self.depth);
         self.alpha_temp * (watts / self.mean_power) * (t_to - t_from)
@@ -122,7 +151,7 @@ impl ThermalMovePricer {
     /// The thermal delta of swapping two cells' positions (each cell
     /// priced at the other's position).
     pub(crate) fn price_swap(
-        &mut self,
+        &self,
         watts_a: f64,
         pos_a: (f64, f64, u16),
         watts_b: f64,
@@ -186,11 +215,11 @@ mod tests {
 
     #[test]
     fn unarmed_pricer_prices_everything_at_zero() {
-        let (_, chip, _, _, mut pricer) = pricer_fixture();
+        let (_, chip, _, _, pricer) = pricer_fixture();
         assert!(!pricer.armed());
         let p = pricer.price(1.0, (0.0, 0.0, 0), (chip.width, chip.depth, 3));
         assert_eq!(p, 0.0);
-        assert_eq!(pricer.priced, 0);
+        assert_eq!(pricer.priced(), 0);
     }
 
     #[test]
@@ -220,7 +249,7 @@ mod tests {
         // Hotter cells pay proportionally more.
         let away2 = pricer.price(2.0 * w, hot, cool);
         assert!((away2 - 2.0 * away).abs() <= 1e-12 * away.abs());
-        assert_eq!(pricer.priced, 3);
+        assert_eq!(pricer.priced(), 3);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use tvp_bookshelf::synth::{generate, SynthConfig};
 use tvp_core::netweight::NetWeights;
 use tvp_core::objective::{IncrementalObjective, ObjectiveModel};
-use tvp_core::{Chip, Placement, Placer, PlacerConfig};
+use tvp_core::{Chip, Placement, Placer, PlacerConfig, ThermalTier};
 use tvp_netlist::Netlist;
 
 fn random_design(cells: usize, seed: u64) -> Netlist {
@@ -29,24 +29,30 @@ proptest! {
 
     /// The whole pipeline — partition, global placement, legalization,
     /// detailed placement, metrics — yields an identical placement no
-    /// matter how many workers run the hot paths.
+    /// matter how many workers run the hot paths. In thermal mode the
+    /// coarse stage may also arm the compact-tier per-move pricer
+    /// (`--thermal-tier coarse=compact`), whose frozen field phase A
+    /// samples in parallel.
     #[test]
     fn pipeline_is_identical_across_thread_counts(
         cells in 60usize..120,
         seed in 0u64..1000,
         thermal in any::<bool>(),
+        compact in any::<bool>(),
     ) {
         let netlist = random_design(cells, seed);
         let alpha_temp = if thermal { 1.0e-4 } else { 0.0 };
         let place = |threads: usize| {
-            Placer::new(
-                PlacerConfig::new(4)
-                    .with_alpha_ilv(1.0e-5)
-                    .with_alpha_temp(alpha_temp)
-                    .with_threads(threads),
-            )
-            .place(&netlist)
-            .expect("placement succeeds")
+            let mut config = PlacerConfig::new(4)
+                .with_alpha_ilv(1.0e-5)
+                .with_alpha_temp(alpha_temp)
+                .with_threads(threads);
+            if compact {
+                config = config.with_thermal_tier("coarse", ThermalTier::Compact);
+            }
+            Placer::new(config)
+                .place(&netlist)
+                .expect("placement succeeds")
         };
         let serial = place(1);
         for threads in [2usize, 4] {
@@ -105,12 +111,14 @@ proptest! {
     /// The row-parallel cell-shifting engine plans rows in chunks whose
     /// boundaries depend only on the row count and commits them in fixed
     /// row order, so spreading a random congested placement is bitwise
-    /// identical at any thread count.
+    /// identical at any thread count — in thermal mode too, where the
+    /// Eq. 17 pricing includes the snapshot's thermal term.
     #[test]
     fn shift_passes_match_serial(
         cells in 150usize..400,
         seed in 0u64..1000,
         spread in 0.05f64..0.4,
+        thermal in any::<bool>(),
     ) {
         use std::ops::ControlFlow;
         use tvp_core::coarse::shift::shift_until_spread;
@@ -120,7 +128,7 @@ proptest! {
         use rand::{RngExt, SeedableRng};
 
         let netlist = random_design(cells, seed);
-        let config = PlacerConfig::new(2);
+        let config = PlacerConfig::new(2).with_alpha_temp(if thermal { 1.0e-4 } else { 0.0 });
         let chip = Chip::from_netlist(&netlist, &config).expect("chip fits");
         let model = ObjectiveModel::new(&netlist, &chip, &config).expect("model builds");
         // A random pile of tunable tightness around the chip center, so

@@ -22,7 +22,11 @@
 //! spreads (DESIGN.md §17): 1k `eb13799fa98c9973` → `f82aa0d01e436964`
 //! with objective 2.400667e-2 → 2.403208e-2 (+0.11%) and 10k
 //! `91c23d0deb32ba2f` → `c71075bc67d2a904` with objective 5.462374e-1 →
-//! 5.475507e-1 (+0.24%), ILV 8837 → 8846 — noise-scale both ways.)
+//! 5.475507e-1 (+0.24%), ILV 8837 → 8846 — noise-scale both ways.
+//! The thermal-mode reference (1k, α_TEMP 1e-4) moved `a16e1be21c8a1f7c`
+//! → `5ffb710d8971ca6b` when thermal mode left the serial coarse loops
+//! for the batched engines with exact snapshot thermal pricing (DESIGN.md
+//! §17, "thermal digest transition"); the WL digests above did not move.)
 
 use tvp_bookshelf::synth::{generate, SynthConfig};
 use tvp_core::{Degradation, Placer, PlacerConfig};
@@ -37,14 +41,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Places the reference design and returns the digest of its placement
-/// plus the relaxed-tolerance bisection retries global placement made.
-fn place_reference(cells: usize, threads: usize) -> (u64, usize) {
+/// Places the reference design with thermal coefficient `alpha_temp` and
+/// returns the digest of its placement plus the relaxed-tolerance
+/// bisection retries global placement made.
+fn place_reference(cells: usize, threads: usize, alpha_temp: f64) -> (u64, usize) {
     let netlist =
         generate(&SynthConfig::named("hot", cells, cells as f64 * 5.0e-12)).expect("synth");
     let placer = Placer::new(
         PlacerConfig::new(4)
             .with_partition_starts(4)
+            .with_alpha_temp(alpha_temp)
             .with_threads(threads),
     );
     let result = placer.place(&netlist).expect("placement succeeds");
@@ -68,7 +74,7 @@ fn place_reference(cells: usize, threads: usize) -> (u64, usize) {
 
 #[test]
 fn reference_1k_placement_hash_is_identical_across_threads() {
-    let (serial, retries) = place_reference(1000, 1);
+    let (serial, retries) = place_reference(1000, 1, 0.0);
     // Relaxed-tolerance retries count re-run region bisections, not
     // faults (`GlobalStats::partition_retries`); this clean run needs
     // none.
@@ -76,7 +82,7 @@ fn reference_1k_placement_hash_is_identical_across_threads() {
     for threads in [2usize, 4] {
         assert_eq!(
             (serial, retries),
-            place_reference(1000, threads),
+            place_reference(1000, threads, 0.0),
             "placement digest diverged at threads={threads}"
         );
     }
@@ -88,14 +94,29 @@ fn reference_1k_placement_hash_is_identical_across_threads() {
 /// deterministic-merge contract where it is most likely to break.
 #[test]
 fn reference_10k_placement_hash_is_identical_across_threads() {
-    let serial = place_reference(10_000, 1);
+    let serial = place_reference(10_000, 1, 0.0);
     // Clean runs retry routinely once regions get tight tolerances.
     assert!(serial.1 > 0, "10k clean run made no partition retries");
     for threads in [2usize, 4] {
         assert_eq!(
             serial,
-            place_reference(10_000, threads),
+            place_reference(10_000, threads, 0.0),
             "placement digest diverged at threads={threads}"
+        );
+    }
+}
+
+/// The paper's thermal mode (Eq. 3 with α_TEMP > 0) runs the same
+/// batched coarse engines, pricing the thermal term read-only from each
+/// snapshot, so its placement must be just as thread-invariant.
+#[test]
+fn reference_1k_thermal_placement_hash_is_identical_across_threads() {
+    let serial = place_reference(1000, 1, 1.0e-4);
+    for threads in [2usize, 4] {
+        assert_eq!(
+            serial,
+            place_reference(1000, threads, 1.0e-4),
+            "thermal placement digest diverged at threads={threads}"
         );
     }
 }
